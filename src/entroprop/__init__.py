@@ -48,7 +48,7 @@ from .stats import (
     student_t_cdf,
     welch_t,
 )
-from .tensor_ops import LogDet, conv2d, lu_logabsdet, matmul, maxpool2
+from .tensor_ops import LogDet, conv2d, lu_logabsdet, maxpool2
 from .training import (
     AdamHyper,
     AdamState,
@@ -71,7 +71,7 @@ __all__ = [
     "adam_step", "backward", "build_conv_matrix", "compound_loss", "conv2d",
     "conv_entropy_delta", "conv_entropy_loss", "conv_entropy_loss_grad",
     "dense_entropy_delta", "dense_entropy_loss", "dense_entropy_loss_grad",
-    "early_stop_check", "forward", "init_weights", "lu_logabsdet", "matmul",
+    "early_stop_check", "forward", "init_weights", "lu_logabsdet",
     "maxpool2", "mean_ci95", "profile_network", "read_dump",
     "significance_grid", "square_part", "squarify_dense", "student_t_cdf",
     "train_autoencoder", "train_cnn", "welch_t", "write_dump",

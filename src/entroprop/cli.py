@@ -109,31 +109,50 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _apply_value(config: ExperimentConfig, key: str, val: str) -> ExperimentConfig:
+    if key == "lambda" or key == "lambdas":
+        return replace(config, lambdas=tuple(float(v) for v in val.split(",")))
+    if key in _LIST_INT_KEYS:
+        parsed = tuple(int(v) for v in val.split(","))
+        if key == "entropy_loss_layers":
+            return replace(config, entropy_loss_layers=frozenset(parsed))
+        return replace(config, **{key: parsed})
+    if key in _INT_KEYS:
+        return replace(config, **{key: int(val)})
+    if key in _FLOAT_KEYS:
+        return replace(config, **{key: float(val)})
+    if key in _STR_KEYS:
+        return replace(config, **{key: val})
+    raise ConfigError(f"unknown config key {key!r}")
+
+
 def apply_config_values(config: ExperimentConfig, values: dict) -> ExperimentConfig:
     for key, val in values.items():
-        if key == "lambda" or key == "lambdas":
-            config = replace(config, lambdas=tuple(float(v) for v in val.split(",")))
-        elif key in _LIST_INT_KEYS:
-            parsed = tuple(int(v) for v in val.split(","))
-            if key == "entropy_loss_layers":
-                config = replace(config, entropy_loss_layers=frozenset(parsed))
-            else:
-                config = replace(config, **{key: parsed})
-        elif key in _INT_KEYS:
-            config = replace(config, **{key: int(val)})
-        elif key in _FLOAT_KEYS:
-            config = replace(config, **{key: float(val)})
-        elif key in _STR_KEYS:
-            config = replace(config, **{key: val})
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            config = _apply_value(config, key, val)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {val!r}") from None
+    return config
+
+
+def validate_config(config: ExperimentConfig) -> None:
+    """Reject a config that no run could use, before any data is read."""
     if not config.lambdas:
         raise ConfigError("lambda list must be nonempty")
+    if not all(np.isfinite(config.lambdas)):
+        raise ConfigError("lambda values must be finite")
     if config.replications < 1:
         raise ConfigError("replications must be >= 1")
     if config.form not in ("log", "recip"):
         raise ConfigError(f"form must be log or recip, got {config.form!r}")
-    return config
+    if config.form == "recip" and not config.eps > 0:
+        raise ConfigError(f"eps must be positive for the recip form, got {config.eps}")
+    if not 0.0 < config.subset <= 1.0:
+        raise ConfigError(f"subset must be in (0, 1], got {config.subset}")
+    if not 0.0 < config.alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {config.alpha}")
+    if min(config.latents + config.widths) < 1:
+        raise ConfigError("latent and conv widths must be >= 1")
 
 
 def config_from_args(args, task: str) -> ExperimentConfig:
@@ -155,6 +174,7 @@ def config_from_args(args, task: str) -> ExperimentConfig:
     if getattr(args, "widths", None) is not None:
         overrides["widths"] = args.widths
     config = apply_config_values(config, overrides)
+    validate_config(config)
     if not config.data_dir:
         raise ConfigError("data_dir is required (flag --data-dir or config)")
     if not config.out_dir:
@@ -243,6 +263,8 @@ def cmd_oracle_check(args) -> int:
     max_dim = args.max_dim
     if max_dim < 1 or max_dim > 10:
         raise ConfigError("max-dim must be in 1..10")
+    if args.cases < 1:
+        raise ConfigError("cases must be >= 1")
     rng = np.random.default_rng(args.seed or 0)
     n = args.cases
     checks = [
@@ -302,7 +324,6 @@ def _train_config(config: ExperimentConfig, lam: float, seed: int) -> TrainConfi
         patience=config.patience,
         min_delta=config.min_delta,
         seed=seed,
-        replications=config.replications,
         init_scale=config.init_scale,
     )
 
@@ -576,6 +597,7 @@ _ERROR_CODES = {
     "FormatError": "format",
     "DimensionError": "dimension",
     "SingularMatrixError": "singular",
+    "NonFiniteError": "non-finite",
     "UndefinedVarianceError": "degenerate-stats",
 }
 

@@ -13,6 +13,10 @@ class SingularMatrixError(EntropropError):
     """An operation required an invertible matrix and got a singular one."""
 
 
+class NonFiniteError(EntropropError):
+    """An operation got NaN or infinite input it cannot give a meaning to."""
+
+
 class FormatError(EntropropError):
     """A binary file does not conform to its declared format."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .entropy import square_part
 from .errors import SingularMatrixError
-from .tensor_ops import logabsdet_and_inverse_transpose, lu_logabsdet
+from .tensor_ops import SINGULAR, logabsdet_and_inverse_transpose, lu_logabsdet
 
 LOG_FORM = "log"
 RECIP_FORM = "recip"
@@ -77,9 +77,56 @@ class LambdaSchedule:
         return self.conv_weights.get((layer, unit, channel), self.conv_default)
 
 
-def _det_magnitude(log_abs: float, sign: int) -> float:
-    """|det| from log space; exactly 0.0 for singular input."""
-    return float(np.exp(log_abs)) if sign != 0 else 0.0
+def _dense_terms(weights: Sequence[np.ndarray], schedule: LambdaSchedule,
+                 form: LossForm, with_grad: bool
+                 ) -> tuple[float, list[np.ndarray] | None]:
+    """The dense entropy term, layer by layer; every public view uses it.
+
+    Each layer with lambda != 0 is factored once: with ``with_grad`` its
+    square part goes through :func:`logabsdet_and_inverse_transpose`,
+    otherwise through :func:`lu_logabsdet`.  A singular square part
+    counts as log|det| = -inf.
+    """
+    total = 0.0
+    grads = [] if with_grad else None
+    for layer, w in enumerate(weights, start=1):
+        w = np.asarray(w, dtype=np.float64)
+        lam = schedule.dense_coeff(layer)
+        # np.zeros takes pre-zeroed memory; zeros_like writes zeros through
+        # the whole matrix, which costs about as much as the factorization.
+        grad = np.zeros(w.shape) if with_grad else None
+        if lam != 0.0:
+            sq = square_part(w)
+            inv_t = None
+            if with_grad:
+                try:
+                    ld, inv_t = logabsdet_and_inverse_transpose(sq)
+                except SingularMatrixError:
+                    ld = SINGULAR
+            else:
+                ld = lu_logabsdet(sq)
+            # The gradient is grad_scale * inv(S)^T on the square part.
+            if form.kind == LOG_FORM:
+                total += -lam * ld.log_abs
+                grad_scale = -lam
+            else:
+                # lambda / (|det| + eps) and the factor |det| / (|det| + eps)^2,
+                # in log space so huge and tiny determinants stay finite; the
+                # factor is exactly 0 at |det| = 0.
+                log_denom = np.logaddexp(ld.log_abs, np.log(form.epsilon))
+                total += lam * np.exp(-log_denom)
+                grad_scale = -lam * np.exp(ld.log_abs - 2.0 * log_denom)
+            if inv_t is not None:
+                k = min(w.shape)
+                np.multiply(inv_t, grad_scale, out=grad[:k, :k])
+            elif with_grad and form.kind == LOG_FORM:
+                raise SingularMatrixError(
+                    f"dense layer {layer}: log-form gradient needs an "
+                    "invertible square part"
+                )
+        if with_grad:
+            grads.append(grad)
+    return float(total), grads
 
 
 def dense_entropy_loss(weights: Sequence[np.ndarray], schedule: LambdaSchedule,
@@ -90,17 +137,7 @@ def dense_entropy_loss(weights: Sequence[np.ndarray], schedule: LambdaSchedule,
     with positive lambda yields +inf.  Reciprocal form:
     sum_l lambda_l / (|det S_l| + eps), bounded by lambda / eps.
     """
-    total = 0.0
-    for layer, w in enumerate(weights, start=1):
-        lam = schedule.dense_coeff(layer)
-        if lam == 0.0:
-            continue
-        ld = lu_logabsdet(square_part(w))
-        if form.kind == LOG_FORM:
-            total += -lam * ld.log_abs
-        else:
-            total += lam / (_det_magnitude(ld.log_abs, ld.sign) + form.epsilon)
-    return float(total)
+    return _dense_terms(weights, schedule, form, with_grad=False)[0]
 
 
 def dense_entropy_loss_grad(weights: Sequence[np.ndarray], schedule: LambdaSchedule,
@@ -111,36 +148,7 @@ def dense_entropy_loss_grad(weights: Sequence[np.ndarray], schedule: LambdaSched
     singular square part raises; in the reciprocal form the gradient at
     |det| = 0 is defined as zero so training steps stay finite.
     """
-    grads = []
-    for layer, w in enumerate(weights, start=1):
-        w = np.asarray(w, dtype=np.float64)
-        grad = np.zeros_like(w)
-        lam = schedule.dense_coeff(layer)
-        if lam != 0.0:
-            k = min(w.shape)
-            sq = square_part(w)
-            if form.kind == LOG_FORM:
-                try:
-                    _, inv_t = logabsdet_and_inverse_transpose(sq)
-                except SingularMatrixError:
-                    raise SingularMatrixError(
-                        f"dense layer {layer}: log-form gradient needs an "
-                        "invertible square part"
-                    )
-                grad[:k, :k] = -lam * inv_t
-            else:
-                ld = lu_logabsdet(sq)
-                if ld.sign != 0:
-                    _, inv_t = logabsdet_and_inverse_transpose(sq)
-                    # |det| / (|det| + eps)^2 evaluated in log space so
-                    # huge and tiny determinants both stay finite.
-                    factor = np.exp(
-                        ld.log_abs
-                        - 2.0 * np.logaddexp(ld.log_abs, np.log(form.epsilon))
-                    )
-                    grad[:k, :k] = -lam * factor * inv_t
-        grads.append(grad)
-    return grads
+    return _dense_terms(weights, schedule, form, with_grad=True)[1]
 
 
 def conv_entropy_loss(filters: Mapping[tuple[int, int, int], np.ndarray],
@@ -208,39 +216,10 @@ def dense_entropy_terms(weights: Sequence[np.ndarray], schedule: LambdaSchedule,
     """Loss and gradient together, one factorization per dense layer.
 
     Matches :func:`dense_entropy_loss` / :func:`dense_entropy_loss_grad`
-    exactly; meant for training loops that need both every step.
+    exactly, and raises where the gradient does; meant for training
+    loops that need both every step.
     """
-    total = 0.0
-    grads = []
-    for layer, w in enumerate(weights, start=1):
-        w = np.asarray(w, dtype=np.float64)
-        grad = np.zeros_like(w)
-        lam = schedule.dense_coeff(layer)
-        if lam != 0.0:
-            k = min(w.shape)
-            sq = square_part(w)
-            ld = lu_logabsdet(sq)
-            if form.kind == LOG_FORM:
-                total += -lam * ld.log_abs
-                try:
-                    _, inv_t = logabsdet_and_inverse_transpose(sq)
-                except SingularMatrixError:
-                    raise SingularMatrixError(
-                        f"dense layer {layer}: log-form gradient needs an "
-                        "invertible square part"
-                    )
-                grad[:k, :k] = -lam * inv_t
-            else:
-                total += lam / (_det_magnitude(ld.log_abs, ld.sign) + form.epsilon)
-                if ld.sign != 0:
-                    _, inv_t = logabsdet_and_inverse_transpose(sq)
-                    factor = np.exp(
-                        ld.log_abs
-                        - 2.0 * np.logaddexp(ld.log_abs, np.log(form.epsilon))
-                    )
-                    grad[:k, :k] = -lam * factor * inv_t
-        grads.append(grad)
-    return float(total), grads
+    return _dense_terms(weights, schedule, form, with_grad=True)
 
 
 def conv_entropy_terms(filters: Mapping[tuple[int, int, int], np.ndarray],

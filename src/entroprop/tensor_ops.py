@@ -2,9 +2,11 @@
 
 Everything here works on plain float64 numpy arrays: 2-d arrays are
 matrices, 3-d arrays are channel-major stacks of feature maps.  The
-log-determinant is computed from an LU factorization with partial
-pivoting so that determinants far outside double range stay usable in
-log space.
+log-determinant and the inverse come from LAPACK's LU factorization with
+partial pivoting (``dgetrf``, then ``dgetri`` on the same factors), so
+determinants far outside double range stay usable in log space and one
+factorization serves both.  Non-finite input is rejected before LAPACK
+sees it, since ``dgetrf`` does not check for it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgetrf, dgetri
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, NonFiniteError, SingularMatrixError
 
 # Pivot magnitudes at or below this are treated as exact zeros: they sit
 # below anything double precision can meaningfully invert.
@@ -37,6 +39,9 @@ class LogDet:
         return float(np.exp(self.log_abs)) if self.sign != 0 else 0.0
 
 
+SINGULAR = LogDet(float("-inf"), 0)
+
+
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
@@ -45,34 +50,35 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """LU factorization with partial pivoting.
+    """LU factorization with partial pivoting (LAPACK ``dgetrf``).
 
-    Returns ``(lu, perm, parity)`` where ``lu`` packs the unit-lower L
-    below the diagonal and U on and above it, ``perm`` satisfies
-    ``m[perm] = L @ U``, and ``parity`` is +1/-1 for an even/odd number
-    of row swaps.  Zero pivots are left in place for the caller to
-    inspect (the trailing submatrix is then not eliminated further).
+    Returns ``(lu, piv, parity)`` where ``lu`` packs the unit-lower L
+    below the diagonal and U on and above it, ``piv`` holds LAPACK's
+    0-based pivot rows (row ``i`` was swapped with row ``piv[i]``), and
+    ``parity`` is +1/-1 for an even/odd number of row swaps.  Zero
+    pivots are left on the diagonal for the caller to inspect.  Raises
+    :class:`NonFiniteError` if any entry is NaN or infinite.
     """
-    a = _as_matrix(m).copy()
+    a = _as_matrix(m)
     n, nc = a.shape
     if n != nc:
         raise DimensionError(f"matrix must be square, got {n}x{nc}")
     if n == 0:
         raise DimensionError("matrix must be nonempty")
-    perm = np.arange(n)
-    parity = 1
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            parity = -parity
-        pivot = a[k, k]
-        if abs(pivot) <= SINGULAR_PIVOT_THRESHOLD:
-            return a, perm, parity
-        a[k + 1 :, k] /= pivot
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return a, perm, parity
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix has NaN or infinite entries")
+    lu, piv, _ = dgetrf(a)
+    swaps = np.count_nonzero(piv != np.arange(n))
+    return lu, piv, -1 if swaps % 2 else 1
+
+
+def _logdet_of_factors(lu: np.ndarray, parity: int) -> LogDet:
+    pivots = lu.diagonal()
+    magnitudes = np.abs(pivots)
+    if magnitudes.min() <= SINGULAR_PIVOT_THRESHOLD:
+        return SINGULAR
+    sign = -parity if np.count_nonzero(pivots < 0) % 2 else parity
+    return LogDet(float(np.log(magnitudes).sum()), sign)
 
 
 def lu_logabsdet(m: np.ndarray) -> LogDet:
@@ -84,41 +90,22 @@ def lu_logabsdet(m: np.ndarray) -> LogDet:
     signs times the permutation parity.
     """
     lu, _, parity = lu_factor(m)
-    pivots = np.diag(lu)
-    if np.any(np.abs(pivots) <= SINGULAR_PIVOT_THRESHOLD):
-        return LogDet(float("-inf"), 0)
-    sign = parity * (1 if int(np.sum(pivots < 0)) % 2 == 0 else -1)
-    return LogDet(float(np.sum(np.log(np.abs(pivots)))), sign)
+    return _logdet_of_factors(lu, parity)
 
 
 def logabsdet_and_inverse_transpose(m: np.ndarray) -> tuple[LogDet, np.ndarray]:
-    """One LU pass yielding both log|det| and the inverse transpose.
+    """One LU factorization yielding both log|det| and the inverse transpose.
 
     Raises :class:`SingularMatrixError` for numerically singular input;
-    the two triangular solves reuse the LU factors.
+    the inverse comes from ``dgetri`` on the same factors.
     """
-    lu, perm, parity = lu_factor(m)
-    pivots = np.diag(lu)
-    if np.any(np.abs(pivots) <= SINGULAR_PIVOT_THRESHOLD):
+    lu, piv, parity = lu_factor(m)
+    logdet = _logdet_of_factors(lu, parity)
+    if logdet.sign == 0:
         raise SingularMatrixError("matrix is numerically singular")
-    sign = parity * (1 if int(np.sum(pivots < 0)) % 2 == 0 else -1)
-    logdet = LogDet(float(np.sum(np.log(np.abs(pivots)))), sign)
-    # m[perm] = L U, so inv(m) = inv(U) inv(L) P with P = I[perm].
-    rhs = np.eye(lu.shape[0])[perm]
-    y = solve_triangular(lu, rhs, lower=True, unit_diagonal=True)
-    inv = solve_triangular(lu, y, lower=False)
+    # Every pivot is nonzero here, so dgetri cannot report a zero pivot.
+    inv, _ = dgetri(lu, piv, overwrite_lu=True)
     return logdet, inv.T
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def conv2d(x: np.ndarray, c: np.ndarray) -> np.ndarray:

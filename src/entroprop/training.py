@@ -84,7 +84,6 @@ class TrainConfig:
     patience: int = 7
     min_delta: Optional[float] = None
     seed: int = 0
-    replications: int = 1
     init_scale: float = 1.0
 
     def __post_init__(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entroprop import cli
 from entroprop.cli import main, parse_config_file, star_tier, write_csv
 from entroprop.nets import Conv2D, Dense, NetworkSpec, init_weights
 from entroprop.synthetic import write_synthetic_mnist
@@ -41,6 +42,14 @@ class TestOracleCheck:
         err = capsys.readouterr().err
         assert err.startswith("error[")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_nonpositive_cases_rejected(self, cases, capsys):
+        # Zero cases would print four "ok" lines having checked nothing.
+        assert run_cli(["oracle-check", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]")
 
 
 class TestTrainSweep:
@@ -131,6 +140,40 @@ class TestTrainSweep:
         assert code != 0
         assert "error[config]" in capsys.readouterr().err
 
+    def _assert_config_error_before_run(self, code, capsys, out):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[config]")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+        assert not (out / "config_used.txt").exists()
+
+    def test_unparsable_config_value_rejected(self, mnist_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("lambda = abc\n")
+        out = tmp_path / "o"
+        code = run_cli(["train-ae", "--config", cfg, "--data-dir", mnist_dir,
+                        "--out-dir", out, "--latent", "4", "--max-epochs", "1"])
+        self._assert_config_error_before_run(code, capsys, out)
+
+    @pytest.mark.parametrize("flags", [
+        ["--eps", "-1"], ["--lambda", "nan"], ["--subset", "2"],
+        ["--alpha", "1.5"], ["--latent", "0"],
+    ], ids=["eps", "lambda", "subset", "alpha", "latent"])
+    def test_invalid_value_rejected_before_loading(self, flags, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_loading(config):
+            raise AssertionError("data loaded for an invalid config")
+
+        monkeypatch.setattr(cli, "_load_splits", no_loading)
+        out = tmp_path / "o"
+        args = {"--latent": "4", "--lambda": "0.01", "--replications": "1",
+                "--max-epochs": "1"}
+        args.update(zip(flags[::2], flags[1::2]))
+        code = run_cli(["train-ae", "--data-dir", tmp_path, "--out-dir", out,
+                        *[x for kv in args.items() for x in kv]])
+        self._assert_config_error_before_run(code, capsys, out)
+
 
 def _read_grid(path):
     lines = path.read_text().splitlines()
@@ -190,6 +233,21 @@ class TestProfile:
         code = run_cli(["profile", bad, "--input-h", "8", "--input-w", "8"])
         assert code != 0
         assert "error[format]" in capsys.readouterr().err
+
+    def test_non_finite_dense_weights_fail_cleanly(self, tmp_path, capsys):
+        from entroprop.nets import LayerParams
+
+        w = np.eye(3, 4)
+        w[1, 1] = np.nan
+        spec = NetworkSpec((Dense(4, 3),))
+        dump = tmp_path / "nan.entw"
+        write_dump(spec, [LayerParams(w, np.zeros(3))], dump)
+        code = run_cli(["profile", dump, "--input-h", "2", "--input-w", "2",
+                        "--out-dir", tmp_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[non-finite]")
+        assert err.count("\n") == 1
 
 
 class TestCompare:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entroprop import losses
 from entroprop.errors import SingularMatrixError
 from entroprop.losses import (
     LambdaSchedule,
@@ -303,3 +304,70 @@ class TestCombinedTerms:
             ref = conv_entropy_loss_grad(filters, sched, form)
             for key in filters:
                 np.testing.assert_array_equal(grads[key], ref[key])
+
+
+class TestDenseTermsAgainstNumpy:
+    """dense_entropy_terms against numpy's slogdet and inverse."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 180])
+    @pytest.mark.parametrize("extra", [(0, 3), (3, 0)], ids=["wide", "tall"])
+    def test_matches_slogdet_and_inverse(self, n, extra):
+        rng = np.random.default_rng(100 + n)
+        lam = 0.37
+        w = rng.normal(size=(n + extra[0], n + extra[1])) * 0.3 / np.sqrt(n)
+        w[:n, :n] += np.eye(n)
+        s = w[:n, :n]
+        sign, logdet = np.linalg.slogdet(s)
+        inv_t = np.linalg.inv(s).T
+        det = np.exp(logdet)
+        eps = RECIP.epsilon
+        expected = {
+            "log": (-lam * logdet, -lam * inv_t),
+            "recip": (lam / (det + eps), -lam * det / (det + eps) ** 2 * inv_t),
+        }
+        sched = LambdaSchedule(dense_default=lam)
+        for form in (LOG, RECIP):
+            loss, (g,) = dense_entropy_terms([w], sched, form)
+            want_loss, want_grad = expected[form.kind]
+            np.testing.assert_allclose(loss, want_loss, rtol=1e-9)
+            np.testing.assert_allclose(
+                g[:n, :n], want_grad, rtol=1e-9,
+                atol=1e-12 * np.max(np.abs(want_grad)),
+            )
+            outside = np.ones(w.shape, dtype=bool)
+            outside[:n, :n] = False
+            np.testing.assert_array_equal(g[outside], 0.0)
+
+
+class TestDenseFactorizationCount:
+    """Each name losses looks up for a factorization, with the shapes passed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("logabsdet_and_inverse_transpose", "lu_logabsdet"):
+            def counting(m, name=name, real=getattr(losses, name)):
+                seen.append((name, np.shape(m)))
+                return real(m)
+            monkeypatch.setattr(losses, name, counting)
+        return seen
+
+    def test_one_factorization_per_penalised_layer(self, calls):
+        rng = np.random.default_rng(8)
+        ws = [rng.normal(size=(5, 7)), rng.normal(size=(4, 4)),
+              rng.normal(size=(6, 3))]
+        sched = LambdaSchedule(dense_weights={1: 0.5, 2: 0.0, 3: -0.2})
+        for form in (LOG, RECIP):
+            calls.clear()
+            dense_entropy_terms(ws, sched, form)
+            assert calls == [("logabsdet_and_inverse_transpose", (5, 5)),
+                             ("logabsdet_and_inverse_transpose", (3, 3))]
+
+    def test_no_factorization_at_zero_lambda(self, calls):
+        rng = np.random.default_rng(9)
+        ws = [rng.normal(size=(5, 7)), rng.normal(size=(4, 4))]
+        for form in (LOG, RECIP):
+            loss, grads = dense_entropy_terms(ws, LambdaSchedule(), form)
+            assert loss == 0.0
+            assert not any(np.any(g) for g in grads)
+        assert calls == []

@@ -8,13 +8,12 @@ against brute-force nested-loop oracles.
 import numpy as np
 import pytest
 
-from entroprop.errors import DimensionError
+from entroprop.errors import DimensionError, NonFiniteError, SingularMatrixError
 from entroprop.tensor_ops import (
     LogDet,
     conv2d,
     logabsdet_and_inverse_transpose,
     lu_logabsdet,
-    matmul,
     maxpool2,
 )
 
@@ -117,19 +116,41 @@ class TestInverseTranspose:
                                        rtol=1e-9)
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(matmul(a, np.eye(4)), a)
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrixError):
+            logabsdet_and_inverse_transpose([[1.0, 2.0], [2.0, 4.0]])
 
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        np.testing.assert_array_equal(out, [[17.0], [39.0]])
+    def test_permutation_sign_and_inverse(self):
+        # A permutation matrix's determinant is the parity of its swaps,
+        # and its inverse transpose is itself.
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 6, 11):
+            for _ in range(10):
+                p = np.eye(n)[rng.permutation(n)]
+                ld, inv_t = logabsdet_and_inverse_transpose(p)
+                assert ld.sign == int(round(np.linalg.det(p)))
+                assert ld.log_abs == pytest.approx(0.0, abs=1e-14)
+                np.testing.assert_array_equal(inv_t, p)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+NON_FINITE = [
+    [[np.nan, 1.0], [1.0, 1.0]],
+    [[1.0, np.inf], [1.0, 1.0]],
+    [[1.0, 1.0], [-np.inf, 1.0]],
+    [[np.nan]],
+]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_logabsdet_rejects(self, m):
+        with pytest.raises(NonFiniteError):
+            lu_logabsdet(m)
+
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_inverse_transpose_rejects(self, m):
+        with pytest.raises(NonFiniteError):
+            logabsdet_and_inverse_transpose(m)
 
 
 class TestConv2d:
