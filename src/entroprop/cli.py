@@ -244,10 +244,14 @@ def _check_gaussian_closed_form(rng, max_dim, n_cases):
     lo = min(2, max_dim)
     for _ in range(n_cases):
         rows, cols = rng.integers(lo, max_dim + 1, size=2)
-        # Well-conditioned draws so the 1e-8 tolerance measures the
-        # identity, not LU roundoff on near-singular square parts.
-        w = 0.3 * rng.normal(size=(rows, cols)) + np.eye(rows, cols)
-        emb = squarify_dense(w).embedded
+        # Redraw until W' is well conditioned, so the 1e-8 tolerance
+        # measures the identity, not LU roundoff: 0.3 N + I alone can reach
+        # cond ~ 1e5 at size 10, where numpy's slogdet misses by ~1e-6.
+        while True:
+            w = 0.3 * rng.normal(size=(rows, cols)) + np.eye(rows, cols)
+            emb = squarify_dense(w).embedded
+            if np.linalg.cond(emb) <= 1e3:
+                break
         n = emb.shape[0]
         a = rng.normal(size=(n, n))
         sigma = a @ a.T / (2.0 * n) + np.eye(n)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .nets import Activation, Conv2D, Dense, MaxPool2
+from .nets import Conv2D, Dense
 from .tensor_ops import LogDet, lu_logabsdet
 
 
@@ -225,35 +225,32 @@ def profile_network(
 ) -> ProfileReport:
     """Entropy-change profile of every dense and conv layer in a network.
 
-    Spatial dimensions are tracked assuming valid convolutions
-    (l <- l-p+1, w <- w-q+1) and floor-halving 2x2 pooling.  Each conv
-    filter contributes the mean of its per-channel-slice deltas; a dense
-    layer contributes the single log|det| of its square part.  Per-layer
-    statistics use linearly interpolated quartiles and 1.5 IQR outlier
-    fences over the per-unit totals.
+    Spatial dimensions are tracked with each layer's ``out_hw``: valid
+    convolutions (l <- l-p+1, w <- w-q+1) and floor-halving 2x2 pooling.
+    Each conv filter contributes the mean of its per-channel-slice deltas;
+    a dense layer contributes the single log|det| of its square part.
+    Per-layer statistics use linearly interpolated quartiles and 1.5 IQR
+    outlier fences over the per-unit totals.
     """
     l, w = int(input_h), int(input_w)
     if l <= 0 or w <= 0:
         raise DimensionError(f"input dims must be positive, got {l}x{w}")
     profiles = []
     for idx, (layer, params) in enumerate(zip(layers, weights)):
+        out_l, out_w = layer.out_hw(idx, l, w)
+        if layer.weight_shape is not None:
+            tensor = np.asarray(params.w, dtype=np.float64)
+            if tensor.shape != layer.weight_shape:
+                raise DimensionError(
+                    f"layer {idx}: weights {tensor.shape} do not match spec"
+                )
         if isinstance(layer, Conv2D):
-            if layer.height > l or layer.width > w:
-                raise DimensionError(
-                    f"layer {idx}: filter {layer.height}x{layer.width} "
-                    f"exceeds tracked dims {l}x{w}"
-                )
-            kernel = np.asarray(params.w, dtype=np.float64)
-            if kernel.shape != (layer.filters, layer.in_channels, layer.height, layer.width):
-                raise DimensionError(
-                    f"layer {idx}: weights {kernel.shape} do not match spec"
-                )
             deltas = []
             unit_totals = np.empty(layer.filters)
             unit_pe = np.empty(layer.filters)
             for f in range(layer.filters):
                 slice_deltas = [
-                    conv_entropy_delta(kernel[f, ch], l, w)
+                    conv_entropy_delta(tensor[f, ch], l, w)
                     for ch in range(layer.in_channels)
                 ]
                 deltas.extend(
@@ -271,18 +268,8 @@ def profile_network(
                     _iqr_outliers(unit_totals),
                 )
             )
-            l, w = l - layer.height + 1, w - layer.width + 1
-        elif isinstance(layer, MaxPool2):
-            l, w = l // 2, w // 2
-            if l <= 0 or w <= 0:
-                raise DimensionError(f"layer {idx}: pooling below 1x1")
         elif isinstance(layer, Dense):
-            wmat = np.asarray(params.w, dtype=np.float64)
-            if wmat.shape != (layer.out_dim, layer.in_dim):
-                raise DimensionError(
-                    f"layer {idx}: weights {wmat.shape} do not match spec"
-                )
-            ld = dense_entropy_delta(wmat)
+            ld = dense_entropy_delta(tensor)
             value = ld.log_abs if ld.sign != 0 else float("-inf")
             delta = EntropyDelta(idx, 0, 0, float(value), float(value))
             vals = np.array([value])
@@ -294,8 +281,5 @@ def profile_network(
                     (),
                 )
             )
-        elif isinstance(layer, Activation):
-            continue
-        else:
-            raise DimensionError(f"layer {idx}: unsupported layer {layer!r}")
+        l, w = out_l, out_w
     return ProfileReport(int(input_h), int(input_w), tuple(profiles))

@@ -1,10 +1,9 @@
 """Welch t-tests, t confidence intervals, and significance grids.
 
-The Student-t CDF is evaluated through the regularized incomplete beta
-function (continued fraction, Lentz's method), accurate to well below
-1e-8 over the ranges the experiments touch.  Welch's unequal-variance
-statistic with Welch-Satterthwaite degrees of freedom is used for every
-pairwise comparison between replication samples.
+The Student-t CDF and its inverse are scipy's ``stdtr`` and ``stdtrit``
+(Cephes), which accept fractional degrees of freedom.  Welch's
+unequal-variance statistic with Welch-Satterthwaite degrees of freedom
+is used for every pairwise comparison between replication samples.
 """
 
 from __future__ import annotations
@@ -46,93 +45,24 @@ class SignificanceGrid:
     metric_direction: str  # "higher_better" | "lower_better", metadata only
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (Lentz's method)."""
-    max_iter = 300
-    eps = 3e-16
-    fpmin = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise RuntimeError("incomplete beta did not converge")
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0, 0 <= x <= 1."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_cdf(t: float, dof: float) -> float:
     """P(T <= t) for Student's t with `dof` (possibly fractional) dof."""
     if dof <= 0:
         raise ValueError("dof must be positive")
-    if t == 0.0:
-        return 0.5
-    # Tail probability P(|T| >= |t|) = I_{dof/(dof+t^2)}(dof/2, 1/2).
-    tail = 0.5 * betainc_reg(dof / 2.0, 0.5, dof / (dof + t * t))
-    return 1.0 - tail if t > 0 else tail
+    # Imported on first use: scipy.special adds about 70 ms and 3 MB to
+    # importing the package, which every CLI command would pay.
+    from scipy.special import stdtr
+    return float(stdtr(dof, t))
 
 
 def student_t_ppf(p: float, dof: float) -> float:
-    """Inverse of :func:`student_t_cdf` by bisection on the monotone CDF."""
+    """Inverse of :func:`student_t_cdf`."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -student_t_ppf(1.0 - p, dof)
-    lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, dof) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            return float("inf")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, dof) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    if dof <= 0:
+        raise ValueError("dof must be positive")
+    from scipy.special import stdtrit  # on first use, as in student_t_cdf
+    return float(stdtrit(dof, p))
 
 
 def welch_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:

@@ -37,16 +37,13 @@ def write_dump(spec: NetworkSpec, weights: Sequence, path) -> None:
     """Serialize a network's dense/conv weight tensors; deterministic."""
     entries = []
     for layer, params in zip(spec.layers, weights):
-        if isinstance(layer, Dense):
-            kind, w = KIND_DENSE, np.asarray(params.w, dtype=np.float64)
-            if w.shape != (layer.out_dim, layer.in_dim):
-                raise FormatError(f"dense weights {w.shape} do not match spec")
-        elif isinstance(layer, Conv2D):
-            kind, w = KIND_CONV, np.asarray(params.w, dtype=np.float64)
-            if w.shape != (layer.filters, layer.in_channels, layer.height, layer.width):
-                raise FormatError(f"conv weights {w.shape} do not match spec")
-        else:
+        shape = layer.weight_shape
+        if shape is None:
             continue
+        w = np.asarray(params.w, dtype=np.float64)
+        if w.shape != shape:
+            raise FormatError(f"weights {w.shape} do not match spec {shape}")
+        kind = KIND_DENSE if w.ndim == 2 else KIND_CONV
         header = struct.pack("<BB", kind, w.ndim) + struct.pack(
             f"<{w.ndim}I", *w.shape
         )
@@ -97,13 +94,8 @@ def read_dump(path) -> tuple[NetworkSpec, list]:
             .reshape(dims)
         )
         offset += nbytes
-        if kind == KIND_DENSE:
-            layers.append(Dense(in_dim=dims[1], out_dim=dims[0]))
-            weights.append(LayerParams(w, np.zeros(dims[0])))
-        else:
-            layers.append(Conv2D(filters=dims[0], in_channels=dims[1],
-                                 height=dims[2], width=dims[3]))
-            weights.append(LayerParams(w, np.zeros(dims[0])))
+        layers.append(Dense(dims[1], dims[0]) if kind == KIND_DENSE else Conv2D(*dims))
+        weights.append(LayerParams(w, np.zeros(dims[0])))
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes at {offset}")
     return NetworkSpec(tuple(layers)), weights

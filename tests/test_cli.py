@@ -33,6 +33,12 @@ class TestOracleCheck:
         assert code != 0
         assert "FAIL" in capsys.readouterr().out
 
+    def test_ill_conditioned_draw_is_redrawn(self, capsys):
+        # This case seed draws a W' with condition number ~1e5, which once
+        # failed the 1e-8 tolerance on correct code.
+        assert run_cli(["oracle-check", "--max-dim", "10", "--seed", "24004"]) == 0
+        assert capsys.readouterr().out.count("ok ") == 4
+
     def test_max_dim_one_degenerate_cases(self):
         assert run_cli(["oracle-check", "--max-dim", "1", "--cases", "20"]) == 0
 

@@ -315,6 +315,14 @@ class TestProfileNetwork:
         with pytest.raises(DimensionError):
             profile_network([layer], [bad], 8, 8)
 
+    def test_pooling_below_one_pixel_raises(self):
+        layers = [Conv2D(1, 1, 3, 3), MaxPool2(), MaxPool2()]
+        weights = [LayerParams(np.ones((1, 1, 3, 3)), np.zeros(1)), None, None]
+        # 6x6 -> 4x4 -> 2x2 -> 1x1 is fine; 5x5 -> 3x3 -> 1x1 cannot pool.
+        assert len(profile_network(layers, weights, 6, 6).layers) == 1
+        with pytest.raises(DimensionError):
+            profile_network(layers, weights, 5, 5)
+
     def test_filter_exceeding_dims_raises(self):
         layer = Conv2D(filters=1, in_channels=1, height=5, width=5)
         params = LayerParams(np.ones((1, 1, 5, 5)), np.zeros(1))

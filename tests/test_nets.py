@@ -189,6 +189,51 @@ class TestBackward:
             backward(spec, weights, [], np.zeros((2, 3)))
 
 
+class TestLayerProtocol:
+    @pytest.mark.parametrize("layer, weight_shape, x_shape", [
+        (Dense(12, 5), (5, 12), (2, 3, 2, 2)),
+        (Conv2D(4, 3, 3, 2), (4, 3, 3, 2), (2, 3, 7, 6)),
+        (MaxPool2(), None, (2, 3, 7, 6)),
+        (Activation("leaky_relu"), None, (2, 3, 7, 6)),
+        (Activation("sigmoid"), None, (2, 5)),
+        (Activation("softmax"), None, (2, 5)),
+    ])
+    def test_shapes_agree(self, layer, weight_shape, x_shape):
+        rng = np.random.default_rng(12)
+        spec = NetworkSpec((layer,))
+        weights = init_weights(spec, rng)
+        assert layer.weight_shape == weight_shape
+        if weight_shape is None:
+            assert weights == [None]
+        else:
+            w = weights[0].w
+            assert w.shape == weight_shape
+            assert weights[0].b.shape == (weight_shape[0],)
+            fan_in = int(np.prod(weight_shape[1:]))
+            fan_out = weight_shape[0] * int(np.prod(weight_shape[2:]))
+            assert np.abs(w).max() <= np.sqrt(6.0 / (fan_in + fan_out))
+        x = rng.normal(size=x_shape)
+        cache, out = forward(spec, weights, x)
+        if out.ndim == 4:
+            assert out.shape[2:] == layer.out_hw(0, *x_shape[2:])
+        g, grad = layer.backward(np.ones_like(out), weights[0], cache[0])
+        assert g.shape == x_shape
+        assert (grad is None) == (weight_shape is None)
+
+    @pytest.mark.parametrize("layer, h, w", [
+        (Conv2D(1, 1, 3, 3), 2, 5),
+        (Conv2D(1, 1, 3, 3), 5, 2),
+        (MaxPool2(), 1, 4),
+        (MaxPool2(), 4, 1),
+    ])
+    def test_out_hw_rejects_small_inputs(self, layer, h, w):
+        with pytest.raises(DimensionError):
+            layer.out_hw(0, h, w)
+        spec = NetworkSpec((layer,))
+        weights = init_weights(spec, np.random.default_rng(13))
+        with pytest.raises(DimensionError):
+            forward(spec, weights, np.zeros((1, 1, h, w)))
+
 class TestHeads:
     def test_mse_value_and_grad_shape(self):
         pred = np.array([[1.0, 2.0], [3.0, 4.0]])

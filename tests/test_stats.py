@@ -1,8 +1,9 @@
 """Welch tests, t confidence intervals, and significance grids.
 
-scipy serves as the independent high-precision oracle for the
-continued-fraction Student-t CDF; the {1,2,3} vs {2,3,4} case is frozen
-from a reference implementation.
+The Student-t functions are scipy's own, so the comparisons against
+scipy.stats below check only the wiring.  The oracle is the frozen
+values: t_{0.975,1} = 12.7062 and the {1,2,3} vs {2,3,4} Welch case
+(t = -1.224745, dof = 4), frozen from a reference implementation.
 """
 
 import numpy as np
@@ -45,6 +46,18 @@ class TestStudentTCdf:
 
     def test_ppf_classic_table_value(self):
         assert student_t_ppf(0.975, 1) == pytest.approx(12.7062, abs=1e-4)
+
+    @pytest.mark.parametrize("dof", [0, -1.5])
+    def test_nonpositive_dof_raises(self, dof):
+        with pytest.raises(ValueError):
+            student_t_cdf(1.0, dof)
+        with pytest.raises(ValueError):
+            student_t_ppf(0.9, dof)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    def test_ppf_outside_unit_interval_raises(self, p):
+        with pytest.raises(ValueError):
+            student_t_ppf(p, 3)
 
 
 class TestWelchT:

@@ -57,6 +57,16 @@ class TestWriteDump:
         write_dump(spec, weights, tmp_path / "b.entw")
         assert (tmp_path / "a.entw").read_bytes() == (tmp_path / "b.entw").read_bytes()
 
+    @pytest.mark.parametrize("layer, bad_shape", [
+        (Dense(3, 2), (3, 2)),
+        (Conv2D(2, 1, 3, 3), (2, 1, 2, 2)),
+    ])
+    def test_mismatched_weights_raise(self, tmp_path, layer, bad_shape):
+        weights = [LayerParams(np.zeros(bad_shape), np.zeros(bad_shape[0]))]
+        with pytest.raises(FormatError):
+            write_dump(NetworkSpec((layer,)), weights, tmp_path / "bad.entw")
+        assert not (tmp_path / "bad.entw").exists()
+
 
 class TestRoundTrip:
     def test_random_networks_bitwise(self, tmp_path):
