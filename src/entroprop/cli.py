@@ -25,13 +25,15 @@ from .entropy import (
     squarify_dense,
 )
 from .errors import ConfigError, EntropropError
+from .files import write_file
 from .losses import LambdaSchedule, LossForm
 from .stats import mean_ci95, significance_grid, welch_t
 from .tensor_ops import conv2d, lu_logabsdet
-from .training import AdamHyper, TrainConfig, train_autoencoder, train_cnn
+from .training import AdamHyper, TrainConfig, cnn_spec, train_autoencoder, train_cnn
 from .weights_io import read_dump
 
 DEFAULT_LAMBDAS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+_DATASET_INPUTS = {"mnist": (1, 28, 28), "cifar10": (3, 32, 32)}  # (c, h, w)
 
 
 def fmt(x) -> str:
@@ -44,7 +46,7 @@ def fmt(x) -> str:
 def write_csv(path: Path, header: list, rows: list) -> None:
     lines = [",".join(header)]
     lines += [",".join(fmt(v) for v in row) for row in rows]
-    path.write_bytes(("\n".join(lines) + "\n").encode())
+    write_file(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_csv(path: Path) -> tuple[list, list]:
@@ -153,6 +155,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"alpha must be in (0, 1), got {config.alpha}")
     if min(config.latents + config.widths) < 1:
         raise ConfigError("latent and conv widths must be >= 1")
+    name = config.resolved_dataset()
+    if name not in _DATASET_INPUTS:
+        raise ConfigError(f"unknown dataset {name!r}")
+    if config.task == "cnn":
+        cnn_spec(*_DATASET_INPUTS[name], config.widths)
 
 
 def config_from_args(args, task: str) -> ExperimentConfig:
@@ -184,7 +191,7 @@ def config_from_args(args, task: str) -> ExperimentConfig:
 
 def echo_config(config: ExperimentConfig, out_dir: Path) -> None:
     lines = [f"{k} = {getattr(config, k)}" for k in vars(config)]
-    (out_dir / "config_used.txt").write_text("\n".join(lines) + "\n")
+    write_file(out_dir / "config_used.txt", ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +301,9 @@ def cmd_oracle_check(args) -> int:
 
 
 def _load_splits(config: ExperimentConfig):
-    name = config.resolved_dataset()
-    if name == "mnist":
-        train = load_mnist(config.data_dir, "train")
-        val = load_mnist(config.data_dir, "validation")
-    elif name == "cifar10":
-        train = load_cifar10(config.data_dir, "train")
-        val = load_cifar10(config.data_dir, "validation")
-    else:
-        raise ConfigError(f"unknown dataset {name!r}")
+    load = load_mnist if config.resolved_dataset() == "mnist" else load_cifar10
+    train = load(config.data_dir, "train")
+    val = load(config.data_dir, "validation")
     train = normalize_and_subset(train, config.subset, config.seed)
     val = normalize_and_subset(val, config.subset, config.seed + 1)
     return train, val

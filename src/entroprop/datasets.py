@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .files import write_file
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -92,7 +93,7 @@ def write_idx(path, array: np.ndarray) -> None:
     header = struct.pack(">I", magic) + struct.pack(
         f">{array.ndim}I", *array.shape
     )
-    Path(path).write_bytes(header + array.tobytes())
+    write_file(path, header + array.tobytes())
 
 
 def read_cifar10(paths: Sequence, split: str = "train") -> Dataset:
@@ -139,7 +140,7 @@ def write_cifar10(path, images: np.ndarray, labels: np.ndarray) -> None:
     records = np.concatenate(
         [labels[:, None], images.reshape(len(images), 3072)], axis=1
     )
-    Path(path).write_bytes(records.tobytes())
+    write_file(path, records.tobytes())
 
 
 def load_mnist(data_dir, split: str = "train") -> Dataset:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 from .nets import Conv2D, Dense
 from .tensor_ops import LogDet, lu_logabsdet
 
@@ -61,17 +61,12 @@ class ConvMatrix:
 
 @dataclass(frozen=True)
 class EntropyDelta:
-    """Entropy change contributed by one unit of one layer, in nats.
+    """Entropy change across one conv filter slice, in nats.
 
-    For a conv slice, ``delta_total = n_out_elements * delta_per_element``
-    with ``delta_per_element = log|c11|``.  For a dense layer both fields
-    hold log|det square_part|.  Index fields are zero outside the
-    profiler, which fills them with network coordinates.
+    ``delta_total = n_out_elements * delta_per_element`` with
+    ``delta_per_element = log|c11|``.
     """
 
-    layer_index: int
-    unit_index: int
-    channel_index: int
     delta_total: float
     delta_per_element: float
 
@@ -84,7 +79,6 @@ class LayerProfile:
     kind: str                                  # "dense" or "conv2d"
     input_h: int
     input_w: int
-    deltas: tuple[EntropyDelta, ...]           # one per (unit, channel)
     unit_totals: np.ndarray                    # per unit, channel-averaged
     unit_per_element: np.ndarray
     mean_total: float
@@ -191,7 +185,8 @@ def conv_entropy_delta(c: np.ndarray, input_h: int, input_w: int) -> EntropyDelt
     """Entropy change of one conv filter over an l x w single-channel input.
 
     Per output element the change is log|c11|; the total scales with the
-    number of output elements and is -inf when c11 is exactly zero.
+    number of output elements and is -inf when c11 is exactly zero.  A
+    non-finite c11 raises :class:`NonFiniteError`.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.size == 0:
@@ -201,9 +196,11 @@ def conv_entropy_delta(c: np.ndarray, input_h: int, input_w: int) -> EntropyDelt
     if p > l or q > w:
         raise DimensionError(f"filter {p}x{q} larger than input {l}x{w}")
     corner = abs(float(c[0, 0]))
+    if not np.isfinite(corner):
+        raise NonFiniteError(f"non-finite filter corner c11 = {c[0, 0]!r}")
     per_element = np.log(corner) if corner > 0.0 else float("-inf")
     n_out = (l - p + 1) * (w - q + 1)
-    return EntropyDelta(0, 0, 0, n_out * per_element, float(per_element))
+    return EntropyDelta(n_out * per_element, float(per_element))
 
 
 def _quartile_stats(values: np.ndarray) -> tuple[float, float, float]:
@@ -227,8 +224,11 @@ def profile_network(
 
     Spatial dimensions are tracked with each layer's ``out_hw``: valid
     convolutions (l <- l-p+1, w <- w-q+1) and floor-halving 2x2 pooling.
-    Each conv filter contributes the mean of its per-channel-slice deltas;
-    a dense layer contributes the single log|det| of its square part.
+    Each conv filter contributes the mean over its channel slices of the
+    :func:`conv_entropy_delta` values, computed for the whole layer at
+    once from ``log|kernel[:, :, 0, 0]|``; a non-finite c11 raises
+    :class:`NonFiniteError`.  A dense layer contributes the single
+    log|det| of its square part.
     Per-layer statistics use linearly interpolated quartiles and 1.5 IQR
     outlier fences over the per-unit totals.
     """
@@ -245,25 +245,18 @@ def profile_network(
                     f"layer {idx}: weights {tensor.shape} do not match spec"
                 )
         if isinstance(layer, Conv2D):
-            deltas = []
-            unit_totals = np.empty(layer.filters)
-            unit_pe = np.empty(layer.filters)
-            for f in range(layer.filters):
-                slice_deltas = [
-                    conv_entropy_delta(tensor[f, ch], l, w)
-                    for ch in range(layer.in_channels)
-                ]
-                deltas.extend(
-                    EntropyDelta(idx, f, ch, d.delta_total, d.delta_per_element)
-                    for ch, d in enumerate(slice_deltas)
-                )
-                unit_totals[f] = np.mean([d.delta_total for d in slice_deltas])
-                unit_pe[f] = np.mean([d.delta_per_element for d in slice_deltas])
+            corners = tensor[:, :, 0, 0]
+            if not np.all(np.isfinite(corners)):
+                raise NonFiniteError(f"layer {idx}: non-finite filter corner c11")
+            with np.errstate(divide="ignore"):
+                slice_pe = np.log(np.abs(corners))    # -inf where c11 == 0
+            unit_totals = (out_l * out_w * slice_pe).mean(axis=1)
+            unit_pe = slice_pe.mean(axis=1)
             mean_t, q1_t, q3_t = _quartile_stats(unit_totals)
             mean_p, q1_p, q3_p = _quartile_stats(unit_pe)
             profiles.append(
                 LayerProfile(
-                    idx, "conv2d", l, w, tuple(deltas), unit_totals, unit_pe,
+                    idx, "conv2d", l, w, unit_totals, unit_pe,
                     mean_t, q1_t, q3_t, mean_p, q1_p, q3_p,
                     _iqr_outliers(unit_totals),
                 )
@@ -271,11 +264,10 @@ def profile_network(
         elif isinstance(layer, Dense):
             ld = dense_entropy_delta(tensor)
             value = ld.log_abs if ld.sign != 0 else float("-inf")
-            delta = EntropyDelta(idx, 0, 0, float(value), float(value))
             vals = np.array([value])
             profiles.append(
                 LayerProfile(
-                    idx, "dense", l, w, (delta,), vals, vals.copy(),
+                    idx, "dense", l, w, vals, vals.copy(),
                     float(value), float(value), float(value),
                     float(value), float(value), float(value),
                     (),

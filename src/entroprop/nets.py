@@ -323,7 +323,3 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np
     grad = np.zeros_like(probs)
     grad[np.arange(n), labels] = -1.0 / (p_true * n)
     return float(-np.mean(np.log(p_true))), grad
-
-
-def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.argmax(probs, axis=1) == labels))

@@ -28,7 +28,6 @@ from .nets import (
     LayerParams,
     MaxPool2,
     NetworkSpec,
-    accuracy,
     backward,
     cross_entropy_loss,
     forward,
@@ -361,15 +360,3 @@ def train_cnn(config: TrainConfig, train_images: np.ndarray,
     return _run(spec, config, train_images, train_labels,
                 lambda ws: _eval_accuracy(spec, ws, val_images, val_labels),
                 "max", min_delta, batch_loss)
-
-
-def untrained_accuracy(config: TrainConfig, images: np.ndarray,
-                       labels: np.ndarray, widths: Sequence[int],
-                       n_classes: int = 10) -> float:
-    """Validation accuracy of a freshly initialized CNN (no training)."""
-    images = np.asarray(images, dtype=np.float64)
-    _, c, h, w = images.shape
-    spec = cnn_spec(c, h, w, widths, n_classes)
-    rng = np.random.default_rng([config.seed, 0])
-    weights = init_weights(spec, rng, config.init_scale)
-    return _eval_accuracy(spec, weights, images, np.asarray(labels))

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError
+from .files import write_file
 from .nets import Conv2D, Dense, LayerParams, NetworkSpec
 
 MAGIC = b"ENTW"
@@ -49,7 +50,7 @@ def write_dump(spec: NetworkSpec, weights: Sequence, path) -> None:
         )
         entries.append(header + np.ascontiguousarray(w).astype("<f8").tobytes())
     blob = MAGIC + struct.pack("<II", VERSION, len(entries)) + b"".join(entries)
-    Path(path).write_bytes(blob)
+    write_file(path, blob)
 
 
 def read_dump(path) -> tuple[NetworkSpec, list]:

@@ -180,6 +180,23 @@ class TestTrainSweep:
                         *[x for kv in args.items() for x in kv]])
         self._assert_config_error_before_run(code, capsys, out)
 
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_too_deep_cnn_rejected_before_loading(self, dataset, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_loading(config):
+            raise AssertionError("data loaded for an invalid config")
+
+        # Three 3x3-conv + 2x2-pool blocks fit 28x28 and 32x32; four do not.
+        cli.validate_config(cli.ExperimentConfig(task="cnn", dataset=dataset,
+                                                 widths=(8, 8, 8)))
+        monkeypatch.setattr(cli, "_load_splits", no_loading)
+        out = tmp_path / "o"
+        code = run_cli(["train-cnn", "--data-dir", tmp_path, "--out-dir", out,
+                        "--dataset", dataset, "--widths", "8,8,8,8",
+                        "--lambda", "0", "--replications", "1",
+                        "--max-epochs", "1"])
+        self._assert_config_error_before_run(code, capsys, out)
+
 
 def _read_grid(path):
     lines = path.read_text().splitlines()
@@ -254,6 +271,26 @@ class TestProfile:
         err = capsys.readouterr().err
         assert err.startswith("error[non-finite]")
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("corner", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_conv_corner_fails_cleanly(self, corner, tmp_path, capsys):
+        from entroprop.nets import LayerParams
+
+        kernel = np.ones((2, 3, 3, 3))
+        kernel[1, 2, 0, 0] = corner
+        dump = tmp_path / "bad.entw"
+        write_dump(NetworkSpec((Conv2D(2, 3, 3, 3),)),
+                   [LayerParams(kernel, np.zeros(2))], dump)
+        out = tmp_path / "out"
+        code = run_cli(["profile", dump, "--input-h", "8", "--input-w", "8",
+                        "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[non-finite]")
+        assert err.count("\n") == 1
+        assert not (out / "profile.csv").exists()
 
 
 class TestCompare:

@@ -8,6 +8,9 @@ determinant preservation, and the Gaussian covariance identity).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entroprop.entropy import (
     build_conv_matrix,
@@ -17,7 +20,7 @@ from entroprop.entropy import (
     square_part,
     squarify_dense,
 )
-from entroprop.errors import DimensionError
+from entroprop.errors import DimensionError, NonFiniteError
 from entroprop.nets import Activation, Conv2D, Dense, LayerParams, MaxPool2
 from entroprop.tensor_ops import conv2d, lu_logabsdet
 
@@ -193,6 +196,12 @@ class TestConvEntropyDelta:
         c = np.array([[0.0, 3.0], [2.0, -1.0]])
         assert conv_entropy_delta(c, 5, 5).delta_total == float("-inf")
 
+    @pytest.mark.parametrize("corner", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corner_raises(self, corner):
+        c = np.array([[corner, 3.0], [2.0, -1.0]])
+        with pytest.raises(NonFiniteError):
+            conv_entropy_delta(c, 5, 5)
+
     def test_total_matches_embedding_logdet(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
@@ -290,7 +299,38 @@ class TestProfileNetwork:
         kernel[0, 1, 0, 0] = 0.25
         report = profile_network([layer], [LayerParams(kernel, np.zeros(1))], 4, 4)
         np.testing.assert_allclose(report.layers[0].unit_totals[0], 0.0, atol=1e-12)
-        assert len(report.layers[0].deltas) == 2
+
+    @pytest.mark.parametrize("corner", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corner_raises(self, corner):
+        kernel = np.ones((2, 3, 2, 2))
+        kernel[1, 2, 0, 0] = corner
+        with pytest.raises(NonFiniteError):
+            profile_network([Conv2D(2, 3, 2, 2)],
+                            [LayerParams(kernel, np.zeros(2))], 5, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_unit_values_equal_mean_of_scalar_deltas(self, data):
+        # The array path must reproduce, bit for bit, the mean over
+        # channel slices of the scalar identity, -inf corners included.
+        f = data.draw(st.integers(1, 5))
+        c = data.draw(st.integers(1, 9))
+        p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        h, w = data.draw(st.integers(p, 9)), data.draw(st.integers(q, 9))
+        corners = data.draw(hnp.arrays(np.float64, (f, c), elements=st.one_of(
+            st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))))
+        kernel = np.ones((f, c, p, q))
+        kernel[:, :, 0, 0] = corners
+        with np.errstate(invalid="ignore"):
+            prof = profile_network([Conv2D(f, c, p, q)],
+                                   [LayerParams(kernel, np.zeros(f))], h, w).layers[0]
+        scalar = [[conv_entropy_delta(kernel[i, ch], h, w) for ch in range(c)]
+                  for i in range(f)]
+        totals = np.array([np.mean([d.delta_total for d in row]) for row in scalar])
+        per_element = np.array(
+            [np.mean([d.delta_per_element for d in row]) for row in scalar])
+        assert prof.unit_totals.tobytes() == totals.tobytes()
+        assert prof.unit_per_element.tobytes() == per_element.tobytes()
 
     def test_dimension_tracking_through_blocks(self):
         layers = [

@@ -11,7 +11,6 @@ from entroprop.nets import (
     LayerParams,
     MaxPool2,
     NetworkSpec,
-    accuracy,
     backward,
     cross_entropy_loss,
     forward,
@@ -248,10 +247,6 @@ class TestHeads:
         labels = rng.integers(0, 10, size=20)
         val, _ = cross_entropy_loss(probs, labels)
         assert val >= 0
-
-    def test_accuracy(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        assert accuracy(probs, np.array([0, 1, 1])) == pytest.approx(2 / 3)
 
     def test_sigmoid_extremes_are_stable(self):
         out = sigmoid(np.array([-800.0, 0.0, 800.0]))

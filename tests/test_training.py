@@ -15,7 +15,6 @@ from entroprop.training import (
     early_stop_check,
     train_autoencoder,
     train_cnn,
-    untrained_accuracy,
 )
 
 
@@ -180,16 +179,6 @@ class TestTrainAutoencoder:
 
 
 class TestTrainCnn:
-    def test_untrained_accuracy_near_chance(self, rgb_data):
-        _, _, val_x, val_y = rgb_data
-        accs = [
-            untrained_accuracy(
-                TrainConfig(base_loss="cross_entropy", seed=s), val_x, val_y, [8]
-            )
-            for s in range(6)
-        ]
-        assert abs(np.mean(accs) - 0.1) < 0.05
-
     def test_same_seed_identical_traces(self, rgb_data):
         train_x, train_y, val_x, val_y = rgb_data
         cfg = TrainConfig(base_loss="cross_entropy", max_epochs=2, seed=3,
