@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,7 +34,11 @@ CIFAR_VAL_FILES = ["test_batch.bin"]
 
 @dataclass
 class Dataset:
-    """Images as (n, channels, h, w) float64 with integer labels 0-9."""
+    """Images as (n, channels, h, w) with integer labels 0-9.
+
+    Parsers give the raw uint8 pixels; :func:`normalize_and_subset`
+    gives float64 pixels in [0, 1].
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -43,7 +48,10 @@ class Dataset:
 def _read_bytes(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise FormatError(f"{path}: corrupt gzip data ({exc})") from exc
     return raw
 
 
@@ -73,12 +81,12 @@ def read_idx(path) -> np.ndarray:
         count *= d
     if count > 1 << 40:
         raise FormatError(f"{path}: dimensions overflow ({dims})")
-    payload = raw[header_len:]
-    if len(payload) != count:
+    payload_len = len(raw) - header_len
+    if payload_len != count:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header declares {count}"
+            f"{path}: payload is {payload_len} bytes, header declares {count}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    return np.frombuffer(raw, dtype=np.uint8, offset=header_len).reshape(dims)
 
 
 def write_idx(path, array: np.ndarray) -> None:
@@ -100,7 +108,7 @@ def read_cifar10(paths: Sequence, split: str = "train") -> Dataset:
     """Parse CIFAR-10 binary batches (3073-byte records) into a Dataset.
 
     Each record is one label byte followed by 3072 pixel bytes laid out
-    as three 32x32 channel planes.  Pixels stay raw (0-255) here.
+    as three 32x32 channel planes.  Pixels stay raw uint8 here.
     """
     images, labels = [], []
     for path in paths:
@@ -120,11 +128,11 @@ def read_cifar10(paths: Sequence, split: str = "train") -> Dataset:
         labels.append(batch_labels)
         images.append(records[:, 1:].reshape(n, 3, 32, 32))
     if not images:
-        return Dataset(np.zeros((0, 3, 32, 32)), np.zeros(0, dtype=np.int64), split)
+        return Dataset(
+            np.zeros((0, 3, 32, 32), dtype=np.uint8), np.zeros(0, dtype=np.int64), split
+        )
     return Dataset(
-        np.concatenate(images).astype(np.float64),
-        np.concatenate(labels).astype(np.int64),
-        split,
+        np.concatenate(images), np.concatenate(labels).astype(np.int64), split
     )
 
 
@@ -155,11 +163,7 @@ def load_mnist(data_dir, split: str = "train") -> Dataset:
         )
     if np.any(labels > 9):
         raise FormatError(f"{data_dir}: label out of range 0-9")
-    return Dataset(
-        images.astype(np.float64)[:, None, :, :],
-        labels.astype(np.int64),
-        split,
-    )
+    return Dataset(images[:, None, :, :], labels.astype(np.int64), split)
 
 
 def load_cifar10(data_dir, split: str = "train") -> Dataset:
@@ -181,17 +185,18 @@ def _existing(base: Path, name: str) -> Path:
 
 
 def normalize_and_subset(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Scale pixels to [0, 1] and draw a stratified subset.
+    """Draw a stratified subset and scale its pixels to float64 in [0, 1].
 
     Each class contributes round(fraction * class_count) samples (at
     least 1 when the class is nonempty), chosen by a seeded generator;
-    the selection is identical across calls with the same seed.
+    the selection is identical across calls with the same seed.  Only
+    the kept images are scaled, and uint8 or float64 input of the same
+    values gives the same bytes.
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    images = dataset.images / 255.0
     if fraction == 1.0:
-        return Dataset(images, dataset.labels.copy(), dataset.split)
+        return Dataset(dataset.images / 255.0, dataset.labels.copy(), dataset.split)
     rng = np.random.default_rng(seed)
     chosen = []
     for cls in np.unique(dataset.labels):
@@ -199,4 +204,4 @@ def normalize_and_subset(dataset: Dataset, fraction: float, seed: int) -> Datase
         k = max(1, int(round(fraction * len(idx))))
         chosen.append(rng.permutation(idx)[:k])
     keep = np.sort(np.concatenate(chosen))
-    return Dataset(images[keep], dataset.labels[keep], dataset.split)
+    return Dataset(dataset.images[keep] / 255.0, dataset.labels[keep], dataset.split)

@@ -203,14 +203,31 @@ def conv_entropy_delta(c: np.ndarray, input_h: int, input_w: int) -> EntropyDelt
     return EntropyDelta(n_out * per_element, float(per_element))
 
 
+def _quartiles(values: np.ndarray) -> tuple[float, float]:
+    """Linearly interpolated q1 and q3, with -inf (a zero c11) absorbing.
+
+    A quartile whose interpolation gives positive weight to a -inf value
+    is -inf.  In sorted order that is exactly when the lower of its two
+    interpolation points is -inf; otherwise both points are finite and
+    numpy's value stands.
+    """
+    qs = [0.25, 0.75]
+    lower = np.quantile(values, qs, method="lower")
+    with np.errstate(invalid="ignore"):     # nan where it interpolates -inf
+        q = np.quantile(values, qs)
+    q1, q3 = np.where(np.isneginf(lower), -np.inf, q)
+    return float(q1), float(q3)
+
+
 def _quartile_stats(values: np.ndarray) -> tuple[float, float, float]:
-    q1, q3 = np.quantile(values, [0.25, 0.75])
-    return float(np.mean(values)), float(q1), float(q3)
+    return (float(np.mean(values)), *_quartiles(values))
 
 
 def _iqr_outliers(values: np.ndarray) -> tuple[tuple[int, float], ...]:
-    q1, q3 = np.quantile(values, [0.25, 0.75])
+    q1, q3 = _quartiles(values)
     iqr = q3 - q1
+    if not np.isfinite(iqr):
+        return ()
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     return tuple(
         (int(i), float(v)) for i, v in enumerate(values) if v < lo or v > hi
@@ -230,7 +247,9 @@ def profile_network(
     :class:`NonFiniteError`.  A dense layer contributes the single
     log|det| of its square part.
     Per-layer statistics use linearly interpolated quartiles and 1.5 IQR
-    outlier fences over the per-unit totals.
+    outlier fences over the per-unit totals.  A quartile that interpolates
+    with a -inf total is -inf, and a layer whose IQR is not finite has
+    no outliers.
     """
     l, w = int(input_h), int(input_w)
     if l <= 0 or w <= 0:

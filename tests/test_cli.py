@@ -123,6 +123,17 @@ class TestTrainSweep:
         err = capsys.readouterr().err
         assert err.startswith("error[")
 
+    def test_corrupt_gzip_data_fails_cleanly(self, tmp_path, capsys):
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                     "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+            (tmp_path / f"{name}.gz").write_bytes(b"\x1f\x8b\x08\x00")
+        code = run_cli(["train-ae", "--data-dir", tmp_path, "--latent", "6",
+                        "--max-epochs", "1", "--out-dir", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[format]") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_config_file_with_flag_override(self, mnist_dir, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
@@ -249,6 +260,19 @@ class TestProfile:
         pe_a = float(row_a.split(",")[8])
         pe_b = float(row_b.split(",")[8])
         assert pe_b - pe_a == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_corners_write_neg_inf_quartiles(self, tmp_path, capsys):
+        from entroprop.nets import LayerParams
+
+        kernel = np.ones((4, 1, 3, 3))
+        kernel[:3, 0, 0, 0] = 0.0
+        write_dump(NetworkSpec((Conv2D(4, 1, 3, 3),)),
+                   [LayerParams(kernel, np.zeros(4))], tmp_path / "z.entw")
+        assert run_cli(["profile", tmp_path / "z.entw", "--input-h", "8",
+                        "--input-w", "8", "--out-dir", tmp_path]) == 0
+        row = (tmp_path / "profile.csv").read_text().splitlines()[1]
+        assert row == "0,conv2d,4,8,8,-inf,-inf,-inf,-inf,-inf,-inf,0"
+        assert capsys.readouterr().err == ""
 
     def test_corrupt_dump_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.entw"

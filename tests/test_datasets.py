@@ -64,6 +64,21 @@ class TestReadIdx:
         with pytest.raises(FormatError, match="overflow"):
             read_idx(path)
 
+    @pytest.mark.parametrize("blob", [
+        b"\x1f\x8b",
+        b"\x1f\x8b\x08\x00",
+        gzip.compress(idx_bytes(0x00000801, (4,), bytes(4)), mtime=0)[:-9],
+        gzip.compress(bytes(64), mtime=0)[:10] + b"\xff" * 20,
+        b"\x1f\x8b\x07" + bytes(20),
+    ], ids=["magic-only", "header-cut", "truncated", "bad-deflate", "bad-method"])
+    def test_corrupt_gzip_is_format_error(self, blob, tmp_path):
+        path = tmp_path / "labels.gz"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="gzip"):
+            read_idx(path)
+        with pytest.raises(FormatError, match="gzip"):
+            read_cifar10([path])
+
     def test_gzip_transparent(self, tmp_path):
         raw = idx_bytes(0x00000801, (4,), bytes([1, 2, 3, 4]))
         path = tmp_path / "labels.gz"
@@ -88,6 +103,8 @@ class TestReadCifar10:
         path.write_bytes(record)
         ds = read_cifar10([path])
         assert ds.images.shape == (1, 3, 32, 32)
+        assert ds.images.dtype == np.uint8
+        assert ds.images.tobytes() == record[1:]
         assert ds.labels.tolist() == [5]
 
     def test_empty_file(self, tmp_path):
@@ -95,6 +112,8 @@ class TestReadCifar10:
         path.write_bytes(b"")
         ds = read_cifar10([path])
         assert len(ds.labels) == 0
+        assert ds.images.shape == (0, 3, 32, 32)
+        assert ds.images.dtype == np.uint8
 
     def test_bad_size(self, tmp_path):
         path = tmp_path / "off.bin"
@@ -116,10 +135,9 @@ class TestReadCifar10:
         path = tmp_path / "rt.bin"
         write_cifar10(path, images, labels)
         ds = read_cifar10([path])
-        np.testing.assert_array_equal(ds.images.astype(np.uint8), images)
+        np.testing.assert_array_equal(ds.images, images)
         np.testing.assert_array_equal(ds.labels, labels)
-        write_cifar10(tmp_path / "rt2.bin", ds.images.astype(np.uint8),
-                      ds.labels.astype(np.uint8))
+        write_cifar10(tmp_path / "rt2.bin", ds.images, ds.labels.astype(np.uint8))
         assert path.read_bytes() == (tmp_path / "rt2.bin").read_bytes()
 
 
@@ -130,6 +148,7 @@ class TestSyntheticCorpora:
         val = load_mnist(tmp_path, "validation")
         assert train.images.shape == (60, 1, 28, 28)
         assert val.images.shape == (20, 1, 28, 28)
+        assert train.images.dtype == val.images.dtype == np.uint8
         assert set(np.unique(train.labels)) <= set(range(10))
 
     def test_cifar_files_load(self, tmp_path):
@@ -140,6 +159,7 @@ class TestSyntheticCorpora:
         val = load_cifar10(tmp_path, "validation")
         assert train.images.shape == (40, 3, 32, 32)
         assert val.images.shape == (20, 3, 32, 32)
+        assert train.images.dtype == val.images.dtype == np.uint8
 
     def test_generation_deterministic(self):
         a, la = make_images(30, 1, 28, seed=9)
@@ -149,12 +169,20 @@ class TestSyntheticCorpora:
 
 
 class TestNormalizeAndSubset:
-    def make_balanced(self, per_class=20):
+    def make_balanced(self, per_class=20, dtype=np.float64):
         rng = np.random.default_rng(3)
         n = per_class * 10
-        images = rng.integers(0, 256, size=(n, 1, 4, 4)).astype(np.float64)
+        images = rng.integers(0, 256, size=(n, 1, 4, 4)).astype(dtype)
         labels = np.repeat(np.arange(10), per_class)
         return Dataset(images, labels, "train")
+
+    @pytest.mark.parametrize("fraction", [0.3, 1.0])
+    def test_uint8_and_float64_give_same_bytes(self, fraction):
+        a = normalize_and_subset(self.make_balanced(dtype=np.uint8), fraction, seed=4)
+        b = normalize_and_subset(self.make_balanced(), fraction, seed=4)
+        assert a.images.dtype == b.images.dtype == np.float64
+        assert a.images.tobytes() == b.images.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_full_fraction_normalizes(self):
         ds = normalize_and_subset(self.make_balanced(), 1.0, seed=0)

@@ -6,6 +6,8 @@ laws (matrix-form equivalence, the corner-power determinant, squarify
 determinant preservation, and the Gaussian covariance identity).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,24 @@ class TestProfileNetwork:
         assert prof.q1_total <= np.median(values) <= prof.q3_total
         for _, v in prof.outliers:
             assert v < q1 - 1.5 * iqr or v > q3 + 1.5 * iqr
+
+    @pytest.mark.parametrize("corners, q1, q3", [
+        ((0.0, 0.0, 0.0, np.e), -np.inf, -np.inf),
+        ((0.0, 0.0, 1.0, np.e), -np.inf, 9.0),
+        ((0.0, 1.0, 1.0, 1.0), -np.inf, 0.0),
+    ])
+    def test_zero_corners_give_neg_inf_quartiles(self, corners, q1, q3):
+        # Totals are 36*log|c11| on a 9x9 output; a quartile that puts any
+        # weight on a -inf total is -inf, and a non-finite IQR has no outliers.
+        layer = Conv2D(filters=4, in_channels=1, height=3, width=3)
+        kernel = np.ones((4, 1, 3, 3))
+        kernel[:, 0, 0, 0] = corners
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = profile_network([layer], [LayerParams(kernel, np.zeros(4))], 8, 8).layers[0]
+        assert (prof.q1_total, prof.q3_total) == (q1, q3)
+        assert (prof.q1_per_element, prof.q3_per_element) == (q1, q3 / 36.0)
+        assert prof.outliers == ()
 
     def test_multichannel_filter_averages_slices(self):
         layer = Conv2D(filters=1, in_channels=2, height=2, width=2)

@@ -5,9 +5,15 @@ numpy's independent slogdet; convolution and pooling are checked
 against brute-force nested-loop oracles.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import entroprop
 from entroprop.errors import DimensionError, NonFiniteError, SingularMatrixError
 from entroprop.tensor_ops import (
     LogDet,
@@ -101,6 +107,26 @@ class TestLuLogAbsDet:
         ld = lu_logabsdet([[1e-301]])
         assert ld.sign == 0
         assert ld.log_abs == float("-inf")
+
+
+def test_lapack_is_imported_on_first_factorization():
+    # A fresh process: importing the package and its CLI loads no scipy
+    # module, and the first LU still works once LAPACK is loaded for it.
+    script = (
+        "import math, sys\n"
+        "import entroprop, entroprop.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "ld = entroprop.lu_logabsdet([[2.0, 1, 0], [0, 3, 0], [0, 0, -1]])\n"
+        "assert ld.sign == -1 and abs(ld.log_abs - math.log(6)) < 1e-12, ld\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    src = str(Path(entroprop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestInverseTranspose:
