@@ -24,7 +24,7 @@ from .entropy import (
     square_part,
     squarify_dense,
 )
-from .errors import ConfigError, EntropropError
+from .errors import ConfigError, EntropropError, FormatError
 from .files import write_file
 from .losses import LambdaSchedule, LossForm
 from .stats import mean_ci95, significance_grid, welch_t
@@ -65,7 +65,7 @@ def read_csv(path: Path) -> tuple[list, list]:
 @dataclass
 class ExperimentConfig:
     dataset: str = ""              # mnist | cifar10 (task default if empty)
-    task: str = "autoencoder"      # autoencoder | cnn
+    task: str = "autoencoder"      # autoencoder | cnn; set by the subcommand
     latents: tuple = (80,)
     widths: tuple = (32,)
     lambdas: tuple = DEFAULT_LAMBDAS
@@ -94,7 +94,7 @@ class ExperimentConfig:
 _INT_KEYS = {"replications", "seed", "max_epochs", "patience", "batch_size"}
 _FLOAT_KEYS = {"eps", "subset", "alpha", "min_delta", "lr", "init_scale"}
 _LIST_INT_KEYS = {"latents", "widths", "entropy_loss_layers"}
-_STR_KEYS = {"dataset", "task", "form", "data_dir", "out_dir"}
+_STR_KEYS = {"dataset", "form", "data_dir", "out_dir"}
 
 
 def parse_config_file(path) -> dict:
@@ -304,6 +304,9 @@ def _load_splits(config: ExperimentConfig):
     load = load_mnist if config.resolved_dataset() == "mnist" else load_cifar10
     train = load(config.data_dir, "train")
     val = load(config.data_dir, "validation")
+    for split in (train, val):
+        if len(split.labels) == 0:
+            raise FormatError(f"{config.data_dir}: the {split.split} split holds no images")
     train = normalize_and_subset(train, config.subset, config.seed)
     val = normalize_and_subset(val, config.subset, config.seed + 1)
     return train, val

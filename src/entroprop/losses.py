@@ -22,11 +22,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .entropy import square_part
-from .errors import SingularMatrixError
+from .errors import NonFiniteError, SingularMatrixError
 from .tensor_ops import SINGULAR, logabsdet_and_inverse_transpose, lu_logabsdet
 
 LOG_FORM = "log"
 RECIP_FORM = "recip"
+Slices = Mapping[tuple[int, int, int], np.ndarray]  # (layer, filter, channel) -> kernel
 
 
 @dataclass(frozen=True)
@@ -151,57 +152,77 @@ def dense_entropy_loss_grad(weights: Sequence[np.ndarray], schedule: LambdaSched
     return _dense_terms(weights, schedule, form, with_grad=True)[1]
 
 
-def conv_entropy_loss(filters: Mapping[tuple[int, int, int], np.ndarray],
-                      schedule: LambdaSchedule, form: LossForm) -> float:
+def _conv_terms(corners: np.ndarray, lams: np.ndarray, form: LossForm,
+                with_grad: bool) -> tuple[float, np.ndarray | None]:
+    """The conv term over c11 values, summed in order; every view uses it.
+
+    Entries with lambda == 0 take no part, and a non-finite c11 with
+    lambda != 0 raises.  The gradient is taken with respect to each c11.
+    """
+    hot = lams != 0.0
+    corner, lam = corners[hot], lams[hot]
+    if not np.all(np.isfinite(corner)):
+        raise NonFiniteError("non-finite filter corner c11 with lambda != 0")
+    mag = np.abs(corner)
+    grad = np.zeros(corners.shape) if with_grad else None
+    if form.kind == LOG_FORM:
+        with np.errstate(divide="ignore"):
+            terms = -lam * np.log(mag)
+        if with_grad:
+            if np.any(corner == 0.0):
+                raise SingularMatrixError("log-form gradient needs c11 != 0")
+            grad[hot] = -lam / corner
+    else:
+        shifted = mag + form.epsilon
+        terms = lam / shifted
+        if with_grad:
+            # float_power is libm pow, as a float's ** is (shifted * shifted
+            # rounds a few squares apart); sign(0) makes the c11 = 0 gradient 0.
+            with np.errstate(over="ignore"):
+                grad[hot] = -lam * np.sign(corner) / np.float_power(shifted, 2)
+    # A running total, not np.sum's pairwise one, keeps a slice-by-slice
+    # sum's bits; "0.0 +" makes an all -0.0 sum +0.0.
+    return (float(0.0 + np.cumsum(terms)[-1]) if terms.size else 0.0), grad
+
+
+def _slice_terms(filters: Slices, schedule: LambdaSchedule, form: LossForm,
+                 with_grad: bool) -> tuple[float, dict | None]:
+    """:func:`_conv_terms` on a slice dict, in ``sorted(filters)`` order."""
+    keys = sorted(filters)
+    corners = np.array([np.asarray(filters[k], dtype=np.float64)[0, 0] for k in keys])
+    lams = np.array([schedule.conv_coeff(*k) for k in keys], dtype=np.float64)
+    total, corner_grads = _conv_terms(corners, lams, form, with_grad)
+    if corner_grads is None:
+        return total, None
+    grads = {key: np.zeros(np.shape(mat)) for key, mat in filters.items()}
+    for key, g in zip(keys, corner_grads):
+        grads[key][0, 0] = g
+    return total, grads
+
+
+def conv_entropy_loss(filters: Slices, schedule: LambdaSchedule,
+                      form: LossForm) -> float:
     """Entropy loss summed over every (layer, filter, channel) slice.
 
     Log form: -sum lambda * log|c11|, which is +inf (not an error) when
     any penalized slice has c11 == 0.  Reciprocal form:
-    sum lambda / (|c11| + eps).
+    sum lambda / (|c11| + eps).  A NaN or infinite penalized c11 raises
+    :class:`NonFiniteError`.
     """
-    total = 0.0
-    for key in sorted(filters):
-        lam = schedule.conv_coeff(*key)
-        if lam == 0.0:
-            continue
-        corner = abs(float(np.asarray(filters[key])[0, 0]))
-        if form.kind == LOG_FORM:
-            log_corner = np.log(corner) if corner > 0.0 else float("-inf")
-            total += -lam * log_corner
-        else:
-            total += lam / (corner + form.epsilon)
-    return float(total)
+    return _slice_terms(filters, schedule, form, with_grad=False)[0]
 
 
-def conv_entropy_loss_grad(filters: Mapping[tuple[int, int, int], np.ndarray],
-                           schedule: LambdaSchedule, form: LossForm
-                           ) -> dict[tuple[int, int, int], np.ndarray]:
+def conv_entropy_loss_grad(filters: Slices, schedule: LambdaSchedule,
+                           form: LossForm) -> dict[tuple[int, int, int], np.ndarray]:
     """Gradient of :func:`conv_entropy_loss` per slice.
 
     Each returned array is zero except at (0, 0).  The log form raises
     on c11 == 0; the reciprocal form's gradient there is defined as 0.
     """
-    grads = {}
-    for key, mat in filters.items():
-        mat = np.asarray(mat, dtype=np.float64)
-        grad = np.zeros_like(mat)
-        lam = schedule.conv_coeff(*key)
-        if lam != 0.0:
-            corner = float(mat[0, 0])
-            if form.kind == LOG_FORM:
-                if corner == 0.0:
-                    raise SingularMatrixError(
-                        f"slice {key}: log-form gradient needs c11 != 0"
-                    )
-                grad[0, 0] = -lam / corner
-            else:
-                grad[0, 0] = -lam * np.sign(corner) / (abs(corner) + form.epsilon) ** 2
-        grads[key] = grad
-    return grads
+    return _slice_terms(filters, schedule, form, with_grad=True)[1]
 
 
-def compound_loss(acc_loss: float, weights: Sequence[np.ndarray],
-                  filters: Mapping[tuple[int, int, int], np.ndarray],
+def compound_loss(acc_loss: float, weights: Sequence[np.ndarray], filters: Slices,
                   schedule: LambdaSchedule, form: LossForm) -> float:
     """Task loss plus both entropy terms (strengths live in the schedule)."""
     return (
@@ -222,11 +243,7 @@ def dense_entropy_terms(weights: Sequence[np.ndarray], schedule: LambdaSchedule,
     return _dense_terms(weights, schedule, form, with_grad=True)
 
 
-def conv_entropy_terms(filters: Mapping[tuple[int, int, int], np.ndarray],
-                       schedule: LambdaSchedule, form: LossForm
+def conv_entropy_terms(filters: Slices, schedule: LambdaSchedule, form: LossForm
                        ) -> tuple[float, dict[tuple[int, int, int], np.ndarray]]:
     """Conv loss and per-slice gradient together (see the paired functions)."""
-    return (
-        conv_entropy_loss(filters, schedule, form),
-        conv_entropy_loss_grad(filters, schedule, form),
-    )
+    return _slice_terms(filters, schedule, form, with_grad=True)

@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .losses import (
+from .losses import (  # conv_entropy_terms: the benchmark probe calls it from here
     LambdaSchedule,
     LossForm,
+    _conv_terms,
     conv_entropy_terms,
     dense_entropy_terms,
 )
@@ -159,70 +160,52 @@ def early_stop_check(trace: Sequence[float], patience: int, min_delta: float,
     return wait >= patience
 
 
-def _effective_schedule(config: TrainConfig, n_dense: int,
-                        conv_shapes: Sequence[tuple[int, int]]) -> LambdaSchedule:
-    """Schedule with coefficients zeroed outside `entropy_loss_layers`."""
-    active = config.entropy_loss_layers
-    sched = config.schedule
-    dense_weights = {
-        layer: (sched.dense_coeff(layer) if layer in active else 0.0)
-        for layer in range(1, n_dense + 1)
-    }
-    conv_weights = {}
-    for layer, (n_filters, n_channels) in enumerate(conv_shapes, start=1):
-        for f in range(n_filters):
-            for ch in range(n_channels):
-                conv_weights[(layer, f, ch)] = (
-                    sched.conv_coeff(layer, f, ch) if layer in active else 0.0
-                )
-    return LambdaSchedule(0.0, 0.0, dense_weights, conv_weights)
+def _layer_lambdas(spec: NetworkSpec, schedule: LambdaSchedule,
+                   layers: Optional[frozenset]) -> tuple[dict, list]:
+    """{dense layer: lambda}, and a (filters, channels) array per conv layer.
+
+    Layers are numbered from 1 within each kind.  Lambda is 0 outside
+    ``layers`` (None: every layer); out-of-range conv keys are ignored.
+    """
+    if layers is None:
+        layers = range(1, len(spec.layers) + 1)
+    dense = {k: schedule.dense_coeff(k) if k in layers else 0.0
+             for k in range(1, len(spec.dense_positions()) + 1)}
+    conv = []
+    for k, pos in enumerate(spec.conv_positions(), start=1):
+        lam = np.zeros(spec.layers[pos].weight_shape[:2])
+        if k in layers:
+            lam[:] = schedule.conv_default
+            for (key_k, f, ch), value in schedule.conv_weights.items():
+                if key_k == k and 0 <= f < lam.shape[0] and 0 <= ch < lam.shape[1]:
+                    lam[f, ch] = value
+        conv.append(lam)
+    return dense, conv
 
 
-def _entropy_grad_map(spec: NetworkSpec, weights: Sequence,
-                      schedule: LambdaSchedule, form: LossForm):
-    """Entropy loss value plus {layer position: weight-grad array}."""
-    dense_pos = spec.dense_positions()
-    conv_pos = spec.conv_positions()
-    dense_mats = [weights[i].w for i in dense_pos]
-    filters = {}
-    for layer, pos in enumerate(conv_pos, start=1):
-        kernel = weights[pos].w
-        for f in range(kernel.shape[0]):
-            for ch in range(kernel.shape[1]):
-                filters[(layer, f, ch)] = kernel[f, ch]
-    loss = 0.0
-    grad_map = {}
-    if dense_mats:
-        d_loss, d_grads = dense_entropy_terms(dense_mats, schedule, form)
-        loss += d_loss
-        for pos, g in zip(dense_pos, d_grads):
-            if np.any(g):
-                grad_map[pos] = g
-    if filters:
-        c_loss, c_grads = conv_entropy_terms(filters, schedule, form)
+def _entropy_grad_map(spec: NetworkSpec, weights: Sequence, schedule: LambdaSchedule,
+                      form: LossForm, layers: Optional[frozenset] = None):
+    """Entropy loss value plus {layer position: weight-grad array}.
+
+    ``layers`` holds the penalised 1-based layer numbers; None means all.
+    """
+    dense_lams, conv_lams = _layer_lambdas(spec, schedule, layers)
+    dense_pos, conv_pos = spec.dense_positions(), spec.conv_positions()
+    loss, d_grads = dense_entropy_terms([weights[i].w for i in dense_pos],
+                                        LambdaSchedule(dense_weights=dense_lams), form)
+    grad_map = {pos: g for pos, g in zip(dense_pos, d_grads) if np.any(g)}
+    if conv_pos:
+        corners = np.concatenate([weights[i].w[:, :, 0, 0].ravel() for i in conv_pos])
+        lams = np.concatenate([lam.ravel() for lam in conv_lams])
+        c_loss, c_grad = _conv_terms(corners, lams, form, with_grad=True)
         loss += c_loss
-        for layer, pos in enumerate(conv_pos, start=1):
-            kernel = weights[pos].w
-            acc = np.zeros_like(kernel)
-            hot = False
-            for f in range(kernel.shape[0]):
-                for ch in range(kernel.shape[1]):
-                    g = c_grads[(layer, f, ch)]
-                    if g[0, 0] != 0.0:
-                        acc[f, ch, 0, 0] = g[0, 0]
-                        hot = True
-            if hot:
-                grad_map[pos] = acc
+        lo = 0
+        for pos, lam in zip(conv_pos, conv_lams):
+            g, lo = c_grad[lo : lo + lam.size].reshape(lam.shape), lo + lam.size
+            if np.any(g):
+                grad_map[pos] = np.zeros_like(weights[pos].w)
+                grad_map[pos][:, :, 0, 0] = g + 0.0  # stores -0.0 as +0.0
     return loss, grad_map
-
-
-def _schedule_is_zero(schedule: LambdaSchedule) -> bool:
-    return (
-        schedule.dense_default == 0.0
-        and schedule.conv_default == 0.0
-        and all(v == 0.0 for v in schedule.dense_weights.values())
-        and all(v == 0.0 for v in schedule.conv_weights.values())
-    )
 
 
 def _eval_mse(spec, weights, x):
@@ -251,13 +234,9 @@ def _run(spec: NetworkSpec, config: TrainConfig, train_x, train_y, evaluate,
     weights = init_weights(spec, rng_init, config.init_scale)
     state = AdamState.zeros_like(weights)
 
-    n_dense = len(spec.dense_positions())
-    conv_shapes = [
-        (spec.layers[i].filters, spec.layers[i].in_channels)
-        for i in spec.conv_positions()
-    ]
-    schedule = _effective_schedule(config, n_dense, conv_shapes)
-    entropy_active = not _schedule_is_zero(schedule)
+    layers = config.entropy_loss_layers
+    dense_lams, conv_lams = _layer_lambdas(spec, config.schedule, layers)
+    entropy_active = any(dense_lams.values()) or any(lam.any() for lam in conv_lams)
 
     n = train_x.shape[0]
     train_trace, val_trace = [], []
@@ -272,8 +251,8 @@ def _run(spec: NetworkSpec, config: TrainConfig, train_x, train_y, evaluate,
             cache, out = forward(spec, weights, x)
             base, out_grad = batch_loss(out, x, y)
             if entropy_active:
-                ent_loss, ent_grads = _entropy_grad_map(spec, weights, schedule,
-                                                        config.form)
+                ent_loss, ent_grads = _entropy_grad_map(spec, weights, config.schedule,
+                                                        config.form, layers)
             else:
                 ent_loss, ent_grads = 0.0, None
             grads = backward(spec, weights, cache, out_grad, ent_grads)

@@ -5,6 +5,7 @@ import pytest
 
 from entroprop import cli
 from entroprop.cli import main, parse_config_file, star_tier, write_csv
+from entroprop.datasets import MNIST_FILES, write_cifar10, write_idx
 from entroprop.nets import Conv2D, Dense, NetworkSpec, init_weights
 from entroprop.synthetic import write_synthetic_mnist
 from entroprop.weights_io import write_dump
@@ -207,6 +208,47 @@ class TestTrainSweep:
                         "--lambda", "0", "--replications", "1",
                         "--max-epochs", "1"])
         self._assert_config_error_before_run(code, capsys, out)
+
+    @pytest.mark.parametrize("task", ["cnn", "bogus"])
+    def test_task_is_not_a_config_key(self, task, mnist_dir, tmp_path, capsys,
+                                      monkeypatch):
+        def no_loading(config):
+            raise AssertionError("data loaded for an invalid config")
+
+        monkeypatch.setattr(cli, "_load_splits", no_loading)
+        cfg = tmp_path / "task.cfg"
+        cfg.write_text(f"task = {task}\n")
+        out = tmp_path / "o"
+        code = run_cli(["train-ae", "--config", cfg, "--data-dir", mnist_dir,
+                        "--out-dir", out, "--latent", "4", "--max-epochs", "1"])
+        self._assert_config_error_before_run(code, capsys, out)
+
+    def _assert_format_error(self, code, capsys):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[format]")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("subset", ["0.5", "1"])
+    def test_empty_mnist_split_fails_cleanly(self, subset, tmp_path, capsys):
+        for image_name, label_name in MNIST_FILES.values():
+            write_idx(tmp_path / image_name, np.zeros((0, 28, 28), dtype=np.uint8))
+            write_idx(tmp_path / label_name, np.zeros(0, dtype=np.uint8))
+        code = run_cli(["train-ae", "--data-dir", tmp_path, "--out-dir",
+                        tmp_path / "o", "--latent", "4", "--lambda", "0",
+                        "--replications", "1", "--max-epochs", "1",
+                        "--subset", subset])
+        self._assert_format_error(code, capsys)
+
+    def test_empty_cifar_batch_fails_cleanly(self, tmp_path, capsys):
+        (tmp_path / "data_batch_1.bin").write_bytes(b"")
+        write_cifar10(tmp_path / "test_batch.bin",
+                      np.zeros((2, 3, 32, 32), dtype=np.uint8), np.array([0, 1]))
+        code = run_cli(["train-cnn", "--data-dir", tmp_path, "--out-dir",
+                        tmp_path / "o", "--widths", "2", "--lambda", "0",
+                        "--replications", "1", "--max-epochs", "1"])
+        self._assert_format_error(code, capsys)
 
 
 def _read_grid(path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entroprop import losses
-from entroprop.errors import SingularMatrixError
+from entroprop.errors import NonFiniteError, SingularMatrixError
 from entroprop.losses import (
     LambdaSchedule,
     LossForm,
@@ -258,6 +258,34 @@ class TestConvEntropyLossGrad:
             np.testing.assert_array_equal(gp, -gn)
 
 
+class TestConvNonFinite:
+    """A NaN or infinite c11 with lambda != 0 raises in every view."""
+
+    VIEWS = {"loss": conv_entropy_loss, "grad": conv_entropy_loss_grad,
+             "terms": conv_entropy_terms}
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("form", [LOG, RECIP], ids=["log", "recip"])
+    @pytest.mark.parametrize("corner", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_penalised_corner_raises(self, view, form, corner):
+        filters = {(1, 0, 0): np.array([[0.5, 1.0], [2.0, 1.0]]),
+                   (1, 1, 0): np.array([[corner, 1.0], [2.0, 1.0]])}
+        with pytest.raises(NonFiniteError):
+            self.VIEWS[view](filters, LambdaSchedule(conv_default=0.5), form)
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("form", [LOG, RECIP], ids=["log", "recip"])
+    def test_unpenalised_corner_is_not_checked(self, view, form):
+        filters = {(1, 0, 0): np.array([[0.5, 1.0]]),
+                   (1, 1, 0): np.array([[np.nan, 1.0]])}
+        sched = LambdaSchedule(conv_default=0.5, conv_weights={(1, 1, 0): 0.0})
+        result = self.VIEWS[view](filters, sched, form)
+        grads = {} if view == "loss" else result if view == "grad" else result[1]
+        for g in grads.values():
+            assert np.all(np.isfinite(g))
+
+
 class TestCompoundLoss:
     def test_zero_schedule_identity(self):
         filters = {(1, 0, 0): np.array([[2.0, 1.0], [0.0, 1.0]])}
@@ -297,13 +325,51 @@ class TestCombinedTerms:
         rng = np.random.default_rng(7)
         filters = {(1, 0, 0): rng.normal(size=(3, 3)),
                    (2, 1, 2): rng.normal(size=(2, 2))}
+        # Insertion order that is not sorted order.
+        unsorted = {(2, 0, 1): rng.normal(size=(2, 3)),
+                    (1, 3, 0): rng.normal(size=(3, 3)),
+                    (1, 0, 2): rng.normal(size=(1, 2))}
         sched = LambdaSchedule(conv_default=-0.5)
+        for filters in (filters, unsorted):
+            for form in (LOG, RECIP):
+                loss, grads = conv_entropy_terms(filters, sched, form)
+                assert loss == conv_entropy_loss(filters, sched, form)
+                ref = conv_entropy_loss_grad(filters, sched, form)
+                assert list(grads) == list(filters)
+                for key in filters:
+                    np.testing.assert_array_equal(grads[key], ref[key])
+
+
+    def test_conv_terms_match_slice_formulas_bitwise(self):
+        # Thousands of slices, so that a pairwise sum or a square taken
+        # as x * x instead of x ** 2 would move some last bit.
+        rng = np.random.default_rng(17)
+        n = 4000
+        corners = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-6.0, 3.0, n))
+        lams = rng.choice([0.0, 0.3, -1.7], n)
+        filters = {(1, i, 0): np.array([[c, 0.5]]) for i, c in enumerate(corners)}
+        sched = LambdaSchedule(conv_weights={(1, i, 0): l for i, l in enumerate(lams)})
         for form in (LOG, RECIP):
+            total, ref = 0.0, {}
+            for key, c, lam in zip(filters, corners.tolist(), lams.tolist()):
+                g = 0.0
+                if lam != 0.0:
+                    if form.kind == "log":
+                        total += -lam * np.log(abs(c))
+                        g = -lam / c
+                    else:
+                        total += lam / (abs(c) + form.epsilon)
+                        g = -lam * np.sign(c) / (abs(c) + form.epsilon) ** 2
+                ref[key] = g
             loss, grads = conv_entropy_terms(filters, sched, form)
-            assert loss == conv_entropy_loss(filters, sched, form)
-            ref = conv_entropy_loss_grad(filters, sched, form)
-            for key in filters:
-                np.testing.assert_array_equal(grads[key], ref[key])
+            assert float(loss).hex() == float(total).hex()
+            for key, g in ref.items():
+                assert float(grads[key][0, 0]).hex() == float(g).hex()
+
+    def test_unit_corners_log_loss_is_positive_zero(self):
+        filters = {(1, 0, 0): np.array([[1.0]]), (1, 1, 0): np.array([[-1.0]])}
+        loss = conv_entropy_loss(filters, LambdaSchedule(conv_default=2.0), LOG)
+        assert float(loss).hex() == "0x0.0p+0"
 
 
 class TestDenseTermsAgainstNumpy:

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entroprop.errors import ConfigError
-from entroprop.losses import LambdaSchedule, LossForm
-from entroprop.nets import LayerParams
+from entroprop.errors import ConfigError, NonFiniteError
+from entroprop.losses import LambdaSchedule, LossForm, dense_entropy_terms
+from entroprop.nets import LayerParams, init_weights
 from entroprop.synthetic import make_images
 from entroprop.training import (
     AdamHyper,
     AdamState,
     TrainConfig,
+    _entropy_grad_map,
     adam_step,
+    cnn_spec,
     early_stop_check,
     train_autoencoder,
     train_cnn,
@@ -213,3 +217,89 @@ class TestTrainCnn:
         base_corners = np.abs(base.weights[conv_pos].w[:, :, 0, 0]).mean()
         ent_corners = np.abs(ent.weights[conv_pos].w[:, :, 0, 0]).mean()
         assert ent_corners > base_corners
+
+
+def _per_slice_reference(spec, weights, schedule, form, layers):
+    """The entropy term slice by slice, from conv_coeff and dense_coeff."""
+    def on(layer):
+        return layers is None or layer in layers
+
+    dense_pos = spec.dense_positions()
+    dense_sched = LambdaSchedule(dense_weights={
+        k: schedule.dense_coeff(k) if on(k) else 0.0
+        for k in range(1, len(dense_pos) + 1)})
+    d_loss, d_grads = dense_entropy_terms([weights[i].w for i in dense_pos],
+                                          dense_sched, form)
+    grads = {pos: g for pos, g in zip(dense_pos, d_grads) if np.any(g)}
+    total = 0.0
+    for layer, pos in enumerate(spec.conv_positions(), start=1):
+        kernel = weights[pos].w
+        acc = np.zeros_like(kernel)
+        for f in range(kernel.shape[0]):
+            for ch in range(kernel.shape[1]):
+                lam = schedule.conv_coeff(layer, f, ch) if on(layer) else 0.0
+                if lam == 0.0:
+                    continue
+                corner = float(kernel[f, ch, 0, 0])
+                if form.kind == "log":
+                    total += -lam * np.log(abs(corner))
+                    g = -lam / corner
+                else:
+                    total += lam / (abs(corner) + form.epsilon)
+                    g = -lam * np.sign(corner) / (abs(corner) + form.epsilon) ** 2
+                if g != 0.0:
+                    acc[f, ch, 0, 0] = g
+        if np.any(acc):
+            grads[pos] = acc
+    return 0.0 + d_loss + total, grads
+
+
+LAMBDAS = st.sampled_from([0.0, 1e-2, -0.5, 3.0])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    in_channels=st.integers(1, 4),
+    widths=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    n_classes=st.integers(2, 5),
+    seed=st.integers(0, 2 ** 32 - 1),
+    scale=st.sampled_from([0.3, 1.0, 4.0]),
+    dense_default=LAMBDAS,
+    conv_default=LAMBDAS,
+    dense_weights=st.dictionaries(st.integers(0, 2), LAMBDAS, max_size=2),
+    conv_weights=st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(-1, 7), st.integers(-1, 5)),
+        st.sampled_from([0.0, 0.25, -2.0, 1e-3]), max_size=8),
+    layers=st.one_of(st.none(), st.frozensets(st.integers(1, 3))),
+    form=st.sampled_from([LossForm.log(), LossForm.reciprocal(1e-4),
+                          LossForm.reciprocal(0.5)]),
+    zero_corner=st.booleans(),
+)
+def test_entropy_grad_map_matches_per_slice_reference(
+        in_channels, widths, n_classes, seed, scale, dense_default, conv_default,
+        dense_weights, conv_weights, layers, form, zero_corner):
+    spec = cnn_spec(in_channels, 10, 10, widths, n_classes)
+    weights = init_weights(spec, np.random.default_rng(seed), scale)
+    if zero_corner and form.kind == "recip":
+        weights[0].w[0, 0, 0, 0] = 0.0
+    schedule = LambdaSchedule(dense_default, conv_default, dense_weights, conv_weights)
+    expected_loss, expected = _per_slice_reference(spec, weights, schedule, form,
+                                                   layers)
+    if layers is None:
+        loss, grads = _entropy_grad_map(spec, weights, schedule, form)
+    else:
+        loss, grads = _entropy_grad_map(spec, weights, schedule, form, layers)
+    assert float(loss).hex() == float(expected_loss).hex()
+    assert sorted(grads) == sorted(expected)
+    for pos, g in grads.items():
+        assert g.shape == expected[pos].shape
+        assert g.tobytes() == expected[pos].tobytes()
+
+
+def test_entropy_grad_map_rejects_non_finite_corner():
+    spec = cnn_spec(2, 10, 10, [3])
+    weights = init_weights(spec, np.random.default_rng(0))
+    weights[0].w[1, 0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        _entropy_grad_map(spec, weights, LambdaSchedule(conv_default=0.1),
+                          LossForm.reciprocal(1e-4))
