@@ -64,7 +64,7 @@ def read_csv(path: Path) -> tuple[list, list]:
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = ""              # mnist | cifar10 (task default if empty)
+    dataset: str = "mnist"         # mnist | cifar10
     task: str = "autoencoder"      # autoencoder | cnn; set by the subcommand
     latents: tuple = (80,)
     widths: tuple = (32,)
@@ -85,16 +85,21 @@ class ExperimentConfig:
     lr: float = 1e-3
     init_scale: float = 1.0
 
-    def resolved_dataset(self) -> str:
-        if self.dataset:
-            return self.dataset
-        return "mnist" if self.task == "autoencoder" else "cifar10"
+
+def _ints(val: str) -> tuple:
+    return tuple(int(v) for v in val.split(","))
 
 
-_INT_KEYS = {"replications", "seed", "max_epochs", "patience", "batch_size"}
-_FLOAT_KEYS = {"eps", "subset", "alpha", "min_delta", "lr", "init_scale"}
-_LIST_INT_KEYS = {"latents", "widths", "entropy_loss_layers"}
-_STR_KEYS = {"dataset", "form", "data_dir", "out_dir"}
+# Config key -> parser of its text, for config files and flags alike.  Every
+# train-ae/train-cnn flag but --config has a key as its dest; `task` is no key.
+_PARSERS = {
+    **dict.fromkeys(("dataset", "form", "data_dir", "out_dir"), str),
+    **dict.fromkeys(("replications", "seed", "max_epochs", "patience", "batch_size"), int),
+    **dict.fromkeys(("eps", "subset", "alpha", "min_delta", "lr", "init_scale"), float),
+    "latents": _ints, "widths": _ints,
+    "entropy_loss_layers": lambda val: frozenset(_ints(val)),
+    "lambdas": lambda val: tuple(float(v) for v in val.split(",")),
+}
 
 
 def parse_config_file(path) -> dict:
@@ -111,30 +116,18 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _apply_value(config: ExperimentConfig, key: str, val: str) -> ExperimentConfig:
-    if key == "lambda" or key == "lambdas":
-        return replace(config, lambdas=tuple(float(v) for v in val.split(",")))
-    if key in _LIST_INT_KEYS:
-        parsed = tuple(int(v) for v in val.split(","))
-        if key == "entropy_loss_layers":
-            return replace(config, entropy_loss_layers=frozenset(parsed))
-        return replace(config, **{key: parsed})
-    if key in _INT_KEYS:
-        return replace(config, **{key: int(val)})
-    if key in _FLOAT_KEYS:
-        return replace(config, **{key: float(val)})
-    if key in _STR_KEYS:
-        return replace(config, **{key: val})
-    raise ConfigError(f"unknown config key {key!r}")
-
-
 def apply_config_values(config: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """Parse each `key: text` pair through `_PARSERS` into `config`."""
+    parsed = {}
     for key, val in values.items():
+        key = "lambdas" if key == "lambda" else key  # the one alias
+        if key not in _PARSERS:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            config = _apply_value(config, key, val)
+            parsed[key] = _PARSERS[key](val)
         except ValueError:
             raise ConfigError(f"{key}: cannot parse {val!r}") from None
-    return config
+    return replace(config, **parsed)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -145,42 +138,31 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("lambda values must be finite")
     if config.replications < 1:
         raise ConfigError("replications must be >= 1")
-    if config.form not in ("log", "recip"):
-        raise ConfigError(f"form must be log or recip, got {config.form!r}")
-    if config.form == "recip" and not config.eps > 0:
-        raise ConfigError(f"eps must be positive for the recip form, got {config.eps}")
+    # The first run's TrainConfig checks the form, eps and every training
+    # setting; later runs differ from it only in lambda and a larger seed.
+    try:
+        _train_config(config, config.lambdas[0], config.seed)
+    except ValueError as exc:  # LossForm's checks
+        raise ConfigError(str(exc)) from None
     if not 0.0 < config.subset <= 1.0:
         raise ConfigError(f"subset must be in (0, 1], got {config.subset}")
     if not 0.0 < config.alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {config.alpha}")
     if min(config.latents + config.widths) < 1:
         raise ConfigError("latent and conv widths must be >= 1")
-    name = config.resolved_dataset()
-    if name not in _DATASET_INPUTS:
-        raise ConfigError(f"unknown dataset {name!r}")
+    if config.dataset not in _DATASET_INPUTS:
+        raise ConfigError(f"unknown dataset {config.dataset!r}")
     if config.task == "cnn":
-        cnn_spec(*_DATASET_INPUTS[name], config.widths)
+        cnn_spec(*_DATASET_INPUTS[config.dataset], config.widths)
 
 
 def config_from_args(args, task: str) -> ExperimentConfig:
-    config = ExperimentConfig(task=task)
+    config = ExperimentConfig(task=task,
+                              dataset="mnist" if task == "autoencoder" else "cifar10")
     if args.config:
         config = apply_config_values(config, parse_config_file(args.config))
-    overrides = {}
-    for key in ("data_dir", "out_dir", "seed", "subset", "replications",
-                "form", "eps", "alpha", "dataset", "max_epochs"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = str(val)
-    if getattr(args, "lam", None) is not None:
-        overrides["lambda"] = args.lam
-    if getattr(args, "layers", None) is not None:
-        overrides["entropy_loss_layers"] = args.layers
-    if getattr(args, "latents", None) is not None:
-        overrides["latents"] = args.latents
-    if getattr(args, "widths", None) is not None:
-        overrides["widths"] = args.widths
-    config = apply_config_values(config, overrides)
+    config = apply_config_values(config, {k: v for k, v in vars(args).items()
+                                          if k in _PARSERS and v is not None})
     validate_config(config)
     if not config.data_dir:
         raise ConfigError("data_dir is required (flag --data-dir or config)")
@@ -190,7 +172,13 @@ def config_from_args(args, task: str) -> ExperimentConfig:
 
 
 def echo_config(config: ExperimentConfig, out_dir: Path) -> None:
-    lines = [f"{k} = {getattr(config, k)}" for k in vars(config)]
+    """Write config_used.txt in config-file syntax, so `--config` reruns it."""
+    lines = []
+    for key, val in vars(config).items():
+        if key in _PARSERS and val is not None:
+            val = sorted(val) if isinstance(val, frozenset) else val
+            text = ",".join(str(v) for v in val) if isinstance(val, (tuple, list)) else val
+            lines.append(f"{key} = {text}")
     write_file(out_dir / "config_used.txt", ("\n".join(lines) + "\n").encode())
 
 
@@ -276,7 +264,9 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError("max-dim must be in 1..10")
     if args.cases < 1:
         raise ConfigError("cases must be >= 1")
-    rng = np.random.default_rng(args.seed or 0)
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    rng = np.random.default_rng(args.seed)
     n = args.cases
     checks = [
         ("conv-matrix-equivalence",
@@ -301,7 +291,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def _load_splits(config: ExperimentConfig):
-    load = load_mnist if config.resolved_dataset() == "mnist" else load_cifar10
+    load = load_mnist if config.dataset == "mnist" else load_cifar10
     train = load(config.data_dir, "train")
     val = load(config.data_dir, "validation")
     for split in (train, val):
@@ -313,8 +303,6 @@ def _load_splits(config: ExperimentConfig):
 
 
 def _train_config(config: ExperimentConfig, lam: float, seed: int) -> TrainConfig:
-    form = (LossForm.log() if config.form == "log"
-            else LossForm.reciprocal(config.eps))
     if config.task == "autoencoder":
         schedule = LambdaSchedule(dense_default=lam)
         base_loss = "mse"
@@ -324,7 +312,7 @@ def _train_config(config: ExperimentConfig, lam: float, seed: int) -> TrainConfi
     return TrainConfig(
         base_loss=base_loss,
         schedule=schedule,
-        form=form,
+        form=LossForm(config.form, config.eps),
         entropy_loss_layers=config.entropy_loss_layers,
         adam=AdamHyper(lr=config.lr),
         batch_size=config.batch_size,
@@ -442,8 +430,8 @@ def _write_grids(out_dir: Path, rows, alpha: float) -> None:
               ["metric", "alpha", "row_label", "col_label", "cell"], grid_rows)
 
 
-def cmd_train(args, task: str) -> int:
-    config = config_from_args(args, task)
+def cmd_train(args) -> int:
+    config = config_from_args(args, args.task)
     out_dir = run_sweep(config)
     print(f"sweep complete: {out_dir / 'runs.csv'}")
     return 0
@@ -492,14 +480,20 @@ def star_tier(p: float) -> str:
 
 
 def cmd_compare(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
     header, raw_rows = read_csv(Path(args.results))
     for col in (args.group_col, args.metric):
         if col not in header:
             raise ConfigError(f"{args.results}: no column {col!r}")
     gi, vi = header.index(args.group_col), header.index(args.metric)
     samples: dict = {}
-    for row in raw_rows:
-        samples.setdefault(row[gi], []).append(float(row[vi]))
+    for n, row in enumerate(raw_rows, start=1):
+        try:
+            samples.setdefault(row[gi], []).append(float(row[vi]))
+        except (IndexError, ValueError):  # a short row, or a non-numeric cell
+            raise FormatError(f"{args.results}: row {n} has no numeric "
+                              f"{args.metric!r}: {','.join(row)!r}") from None
     if len(samples) < 2:
         raise ConfigError("need at least 2 groups to compare")
     if min(len(v) for v in samples.values()) < 2:
@@ -553,30 +547,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oracle-check", help="verify the closed-form identities")
+    p.set_defaults(run=cmd_oracle_check)
     p.add_argument("--max-dim", type=int, default=8)
     p.add_argument("--cases", type=int, default=250)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--self-test-corrupt", action="store_true",
                    help=argparse.SUPPRESS)
 
-    for name, task_help in (("train-ae", "autoencoder reconstruction sweep"),
-                            ("train-cnn", "CNN classification sweep")):
+    for name, task, task_help in (
+            ("train-ae", "autoencoder", "autoencoder reconstruction sweep"),
+            ("train-cnn", "cnn", "CNN classification sweep")):
         p = sub.add_parser(name, help=task_help)
+        p.set_defaults(run=cmd_train, task=task)
         p.add_argument("--config", default=None)
         p.add_argument("--data-dir", dest="data_dir", default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--dataset", default=None, choices=("mnist", "cifar10"))
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--subset", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", default=None,
+        # Values stay text here: _PARSERS parses flags and config files alike.
+        p.add_argument("--seed", default=None)
+        p.add_argument("--subset", default=None)
+        p.add_argument("--lambda", dest="lambdas", default=None,
                        help="comma-separated lambda values")
-        p.add_argument("--layers", default=None,
+        p.add_argument("--layers", dest="entropy_loss_layers", default=None,
                        help="comma-separated 1-based entropy-loss layers")
         p.add_argument("--form", choices=("log", "recip"), default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--replications", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
+        p.add_argument("--eps", default=None)
+        p.add_argument("--replications", default=None)
+        p.add_argument("--alpha", default=None)
+        p.add_argument("--max-epochs", dest="max_epochs", default=None)
         if name == "train-ae":
             p.add_argument("--latent", dest="latents", default=None,
                            help="comma-separated latent widths")
@@ -585,12 +583,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated conv widths (one architecture)")
 
     p = sub.add_parser("profile", help="entropy profile of an ENTW weight dump")
+    p.set_defaults(run=cmd_profile)
     p.add_argument("dump")
     p.add_argument("--input-h", dest="input_h", type=int, required=True)
     p.add_argument("--input-w", dest="input_w", type=int, required=True)
     p.add_argument("--out-dir", dest="out_dir", default=None)
 
     p = sub.add_parser("compare", help="significance grid from a results CSV")
+    p.set_defaults(run=cmd_compare)
     p.add_argument("results")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--direction", choices=("greater", "less"), default="greater")
@@ -614,17 +614,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "oracle-check":
-            return cmd_oracle_check(args)
-        if args.command == "train-ae":
-            return cmd_train(args, "autoencoder")
-        if args.command == "train-cnn":
-            return cmd_train(args, "cnn")
-        if args.command == "profile":
-            return cmd_profile(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except EntropropError as exc:
         code = _ERROR_CODES.get(type(exc).__name__, "error")
         print(f"error[{code}]: {exc}", file=sys.stderr)

@@ -42,7 +42,6 @@ class SignificanceGrid:
     labels: tuple[str, ...]
     cells: tuple[tuple[str, ...], ...]
     alpha: float
-    metric_direction: str  # "higher_better" | "lower_better", metadata only
 
 
 def student_t_cdf(t: float, dof: float) -> float:
@@ -100,14 +99,13 @@ def mean_ci95(sample: Sequence[float]) -> tuple[float, float]:
     return float(np.mean(x)), float(half)
 
 
-def significance_grid(samples: Mapping[str, Sequence[float]], alpha: float,
-                      metric_direction: str = "higher_better") -> SignificanceGrid:
+def significance_grid(samples: Mapping[str, Sequence[float]],
+                      alpha: float) -> SignificanceGrid:
     """Pairwise Welch-test grid between every pair of labeled groups.
 
     ``cells[i][j]`` is "+" when mean_i > mean_j with two-tailed
     p < alpha, "-" for the mirror case, blank otherwise (including the
-    diagonal).  ``metric_direction`` is carried as metadata for
-    downstream rendering; it does not change cell values.
+    diagonal).
     """
     labels = tuple(samples.keys())
     if len(labels) < 2:
@@ -128,4 +126,4 @@ def significance_grid(samples: Mapping[str, Sequence[float]], alpha: float,
             else:
                 row.append(BLANK)
         cells.append(tuple(row))
-    return SignificanceGrid(labels, tuple(cells), float(alpha), metric_direction)
+    return SignificanceGrid(labels, tuple(cells), float(alpha))

@@ -91,8 +91,16 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.adam.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not 0.0 < self.adam.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.adam.lr}")
+        if not 0.0 <= self.init_scale < np.inf:
+            raise ConfigError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        if self.min_delta is not None and not np.isfinite(self.min_delta):
+            raise ConfigError(f"min_delta must be finite, got {self.min_delta}")
         if self.base_loss not in ("mse", "cross_entropy"):
             raise ConfigError(f"unknown base loss {self.base_loss!r}")
 

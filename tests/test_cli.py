@@ -1,5 +1,7 @@
 """CLI subcommands: self-checks, sweeps, profiling, comparison, error paths."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ class TestOracleCheck:
         assert captured.out == ""
         assert captured.err.startswith("error[config]")
 
+    def test_negative_seed_rejected(self, capsys):
+        assert run_cli(["oracle-check", "--cases", "5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]")
+        assert captured.err.count("\n") == 1
+
 
 class TestTrainSweep:
     def test_single_row_sweep(self, mnist_dir, tmp_path, capsys):
@@ -100,6 +109,26 @@ class TestTrainSweep:
             outs.append(out)
         for name in ("runs.csv", "aggregate.csv", "grid.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_config_used_reruns_the_sweep(self, mnist_dir, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli([
+            "train-ae", "--data-dir", mnist_dir, "--out-dir", first,
+            "--latent", "6,4", "--lambda", "0,0.01", "--layers", "2,1",
+            "--replications", "2", "--max-epochs", "2", "--seed", "7",
+            "--subset", "0.5",
+        ]) == 0
+        assert run_cli(["train-ae", "--config", first / "config_used.txt",
+                        "--out-dir", second]) == 0
+        for name in ("runs.csv", "aggregate.csv", "grid.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        echoed = (first / "config_used.txt").read_text()
+        assert "latents = 6,4\n" in echoed
+        assert "entropy_loss_layers = 1,2\n" in echoed
+        keys = [line.split(" = ")[0] for line in echoed.splitlines()]
+        assert "task" not in keys and "min_delta" not in keys  # min_delta is None
+        assert (second / "config_used.txt").read_text() == echoed.replace(
+            f"out_dir = {first}\n", f"out_dir = {second}\n")
 
     def test_grid_antisymmetric_cells(self, mnist_dir, tmp_path):
         out = tmp_path / "grid"
@@ -176,8 +205,8 @@ class TestTrainSweep:
 
     @pytest.mark.parametrize("flags", [
         ["--eps", "-1"], ["--lambda", "nan"], ["--subset", "2"],
-        ["--alpha", "1.5"], ["--latent", "0"],
-    ], ids=["eps", "lambda", "subset", "alpha", "latent"])
+        ["--alpha", "1.5"], ["--latent", "0"], ["--max-epochs", "0"],
+    ], ids=["eps", "lambda", "subset", "alpha", "latent", "max-epochs"])
     def test_invalid_value_rejected_before_loading(self, flags, tmp_path, capsys,
                                                    monkeypatch):
         def no_loading(config):
@@ -191,6 +220,33 @@ class TestTrainSweep:
         code = run_cli(["train-ae", "--data-dir", tmp_path, "--out-dir", out,
                         *[x for kv in args.items() for x in kv]])
         self._assert_config_error_before_run(code, capsys, out)
+
+    @pytest.mark.parametrize("line", [
+        "max_epochs = 0", "seed = -1", "init_scale = -1", "lr = nan", "lr = 0",
+        "patience = 0", "batch_size = 0", "min_delta = nan",
+    ])
+    def test_invalid_config_value_rejected_before_loading(self, line, tmp_path,
+                                                          capsys, monkeypatch):
+        def no_loading(config):
+            raise AssertionError("data loaded for an invalid config")
+
+        monkeypatch.setattr(cli, "_load_splits", no_loading)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        code = run_cli(["train-ae", "--config", cfg, "--data-dir", tmp_path,
+                        "--out-dir", out, "--latent", "4", "--lambda", "0.01"])
+        self._assert_config_error_before_run(code, capsys, out)
+
+    @pytest.mark.parametrize("command", ["train-ae", "train-cnn"])
+    def test_every_train_flag_is_a_config_key(self, command):
+        # A flag whose dest is not a config key would bypass the parsers.
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert dests - {"config"} <= set(cli._PARSERS)
 
     @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
     def test_too_deep_cnn_rejected_before_loading(self, dataset, tmp_path, capsys,
@@ -407,6 +463,28 @@ class TestCompare:
         p_less = float(out_less.rsplit("(", 1)[1].rstrip(")\n"))
         assert p_greater < 0.05
         assert p_less == pytest.approx(1.0 - p_greater, abs=1e-9)
+
+    @pytest.mark.parametrize("row", ["0.01,abc", "0.01"],
+                             ids=["non-numeric", "short"])
+    def test_malformed_row_fails_cleanly(self, row, tmp_path, capsys):
+        csv = tmp_path / "runs.csv"
+        csv.write_text("lambda,final_val_metric\n0,0.5\n0,0.6\n0.01,0.7\n"
+                       f"{row}\n")
+        assert run_cli(["compare", csv, "--out-dir", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[format]")
+        assert captured.err.count("\n") == 1
+        assert "row 4" in captured.err
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+    def test_alpha_out_of_range_rejected(self, alpha, tmp_path, capsys):
+        csv = tmp_path / "runs.csv"
+        self.make_results(csv, {"0": [0.1, 0.11, 0.12], "1": [0.9, 0.91, 0.92]})
+        assert run_cli(["compare", csv, "--alpha", alpha, "--out-dir", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[config]")
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_insufficient_replications(self, tmp_path, capsys):
         csv = tmp_path / "runs.csv"

@@ -1,5 +1,5 @@
-"""Property tests: the conv-matrix identities for any shape, and the ENTW
-round trip for any spec and any float64 weights.
+"""Property tests: the conv-matrix identities and the squarify law for any
+shape, and the ENTW round trip for any spec and any float64 weights.
 
 Each round-trip example goes to a new file, because rewriting one file
 in place makes ext4 flush it on every close.
@@ -8,13 +8,13 @@ in place makes ext4 flush it on every close.
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entroprop.entropy import build_conv_matrix
+from entroprop.entropy import build_conv_matrix, square_part, squarify_dense
 from entroprop.nets import Conv2D, Dense, LayerParams, NetworkSpec
-from entroprop.tensor_ops import conv2d, lu_logabsdet
+from entroprop.tensor_ops import SINGULAR, conv2d, lu_logabsdet
 from entroprop.weights_io import read_dump, write_dump
 
 FINITE = st.floats(-100.0, 100.0, allow_subnormal=False)
@@ -50,6 +50,41 @@ def test_square_embedding_log_det_is_power_of_corner(case, corner):
     got = lu_logabsdet(build_conv_matrix(c, l, w).square_embedding).log_abs
     expected = (l - p + 1) * (w - q + 1) * np.log(abs(corner))
     assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+# Entries are 0 or of magnitude 1e-3..100.  Nonzero entries near 1e-300 are
+# left out: there lu_logabsdet's per-pivot SINGULAR threshold can fire on one
+# side only, e.g. W = [[2.2e-308], [3.6e-180]] is SINGULAR as square_part but
+# not as its embedding, whose pivots are 3.6e-180 and 6e-129.
+SCALED = st.just(0.0) | st.floats(1e-3, 100.0) | st.floats(-100.0, -1e-3)
+
+
+@st.composite
+def matrices(draw, max_dim=12):
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    return draw(arrays(np.float64, (rows, cols), elements=SCALED, fill=st.nothing()))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(w=matrices())
+def test_squarify_embeds_w_and_keeps_its_log_det(w):
+    rows, cols = w.shape
+    embedded = squarify_dense(w).embedded
+    assert embedded.shape == (max(rows, cols), max(rows, cols))
+    assert np.array_equal(embedded[:rows, :cols], w)
+    part = square_part(w)
+    assume(np.linalg.cond(part) <= 1e3)
+    got, expected = lu_logabsdet(embedded), lu_logabsdet(part)
+    assert got.sign == expected.sign
+    if expected.sign != 0:  # else both are SINGULAR: a pivot below the threshold
+        assert abs(got.log_abs - expected.log_abs) <= 1e-9  # oracle-check's tolerance
+
+
+def test_squarify_of_a_zero_row_is_singular_on_both_sides():
+    w = np.arange(1.0, 16.0).reshape(3, 5)
+    w[1] = 0.0
+    assert lu_logabsdet(squarify_dense(w).embedded) == SINGULAR
+    assert lu_logabsdet(square_part(w)) == SINGULAR
 
 
 @st.composite

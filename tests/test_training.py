@@ -131,6 +131,25 @@ class TestEarlyStopCheck:
             early_stop_check([], patience=2, min_delta=0.0, mode="min")
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_epochs": 0}, {"seed": -1}, {"adam": AdamHyper(lr=0.0)},
+        {"adam": AdamHyper(lr=float("nan"))}, {"adam": AdamHyper(lr=float("inf"))},
+        {"init_scale": -1.0}, {"init_scale": float("nan")},
+        {"init_scale": float("inf")}, {"min_delta": float("nan")},
+        {"min_delta": float("-inf")},
+    ], ids=["max_epochs=0", "seed=-1", "lr=0", "lr=nan", "lr=inf", "init_scale=-1",
+            "init_scale=nan", "init_scale=inf", "min_delta=nan", "min_delta=-inf"])
+    def test_unusable_setting_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            TrainConfig(**kwargs)
+
+    def test_boundary_settings_accepted(self):
+        cfg = TrainConfig(max_epochs=1, seed=0, init_scale=0.0, min_delta=0.0,
+                          adam=AdamHyper(lr=1e-300))
+        assert cfg.min_delta == 0.0
+
+
 class TestTrainAutoencoder:
     def test_single_epoch_run(self, gray_data):
         train_x, val_x = gray_data
