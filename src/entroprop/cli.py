@@ -24,7 +24,7 @@ from .entropy import (
     square_part,
     squarify_dense,
 )
-from .errors import ConfigError, EntropropError, FormatError
+from .errors import ConfigError, EntropropError, FormatError, NonFiniteError
 from .files import write_file
 from .losses import LambdaSchedule, LossForm
 from .stats import mean_ci95, significance_grid, welch_t
@@ -152,6 +152,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("latent and conv widths must be >= 1")
     if config.dataset not in _DATASET_INPUTS:
         raise ConfigError(f"unknown dataset {config.dataset!r}")
+    for key in ("data_dir", "out_dir"):
+        if "#" in getattr(config, key):  # config_used.txt would read it as a comment
+            raise ConfigError(f"{key} must not contain '#': {getattr(config, key)!r}")
     if config.task == "cnn":
         cnn_spec(*_DATASET_INPUTS[config.dataset], config.widths)
 
@@ -490,10 +493,14 @@ def cmd_compare(args) -> int:
     samples: dict = {}
     for n, row in enumerate(raw_rows, start=1):
         try:
-            samples.setdefault(row[gi], []).append(float(row[vi]))
+            group, value = row[gi], float(row[vi])
         except (IndexError, ValueError):  # a short row, or a non-numeric cell
             raise FormatError(f"{args.results}: row {n} has no numeric "
                               f"{args.metric!r}: {','.join(row)!r}") from None
+        if not np.isfinite(value):
+            raise NonFiniteError(f"{args.results}: row {n} has a non-finite "
+                                 f"{args.metric!r}: {','.join(row)!r}")
+        samples.setdefault(group, []).append(value)
     if len(samples) < 2:
         raise ConfigError("need at least 2 groups to compare")
     if min(len(v) for v in samples.values()) < 2:

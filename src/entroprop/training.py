@@ -37,6 +37,7 @@ from .nets import (
 )
 
 EVAL_BATCH = 512
+ADAM_SLICE = 32768  # elements per Adam slice: 256 KB of float64
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,11 @@ class AdamHyper:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates matching the parameter structure."""
+    """First/second moment estimates matching the parameter structure.
+
+    ``adam_step`` advances them in place, so each array must be
+    C-contiguous; ``zeros_like`` makes them so.
+    """
 
     m: list
     v: list
@@ -57,9 +62,9 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, params: Sequence) -> "AdamState":
-        m = [None if p is None else LayerParams(np.zeros_like(p.w), np.zeros_like(p.b))
+        m = [None if p is None else LayerParams(np.zeros(p.w.shape), np.zeros(p.b.shape))
              for p in params]
-        v = [None if p is None else LayerParams(np.zeros_like(p.w), np.zeros_like(p.b))
+        v = [None if p is None else LayerParams(np.zeros(p.w.shape), np.zeros(p.b.shape))
              for p in params]
         return cls(m, v, 0)
 
@@ -119,29 +124,53 @@ class RunResult:
 
 def adam_step(params: Sequence, grads: Sequence, state: AdamState,
               hyper: AdamHyper) -> tuple[list, AdamState]:
-    """One Adam update with bias correction; purely functional."""
-    t = state.t + 1
-    c1 = 1.0 - hyper.beta1 ** t
-    c2 = 1.0 - hyper.beta2 ** t
-    new_params, new_m, new_v = [], [], []
+    """One Adam update with bias correction (Kingma & Ba 2015).
+
+    Returns ``(new_params, state)``: every new parameter is a fresh array,
+    and the given ``state`` is advanced in place (its moments ``m`` and
+    ``v`` and its step ``t``).  ``params`` and ``grads`` are only read.
+    All shapes are checked before any moment changes.  Each flattened
+    array is updated in slices of ``ADAM_SLICE`` elements through two
+    scratch buffers, so every operand stays in cache, in the operation
+    order ``m = β1·m + (1-β1)·g``, ``v = β2·v + ((1-β2)·g)·g`` and
+    ``p - (lr·(m/c1)) / (sqrt(v/c2) + eps)``.
+    """
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p is None:
-            new_params.append(None)
-            new_m.append(None)
-            new_v.append(None)
             continue
         if g.w.shape != p.w.shape or g.b.shape != p.b.shape:
             raise DimensionError("gradient shape does not match parameters")
-        mw = hyper.beta1 * m.w + (1.0 - hyper.beta1) * g.w
-        mb = hyper.beta1 * m.b + (1.0 - hyper.beta1) * g.b
-        vw = hyper.beta2 * v.w + (1.0 - hyper.beta2) * g.w * g.w
-        vb = hyper.beta2 * v.b + (1.0 - hyper.beta2) * g.b * g.b
-        new_w = p.w - hyper.lr * (mw / c1) / (np.sqrt(vw / c2) + hyper.eps)
-        new_b = p.b - hyper.lr * (mb / c1) / (np.sqrt(vb / c2) + hyper.eps)
-        new_params.append(LayerParams(new_w, new_b))
-        new_m.append(LayerParams(mw, mb))
-        new_v.append(LayerParams(vw, vb))
-    return new_params, AdamState(new_m, new_v, t)
+        if any(a.shape != ref.shape or not a.flags.c_contiguous
+               for a, ref in ((m.w, p.w), (m.b, p.b), (v.w, p.w), (v.b, p.b))):
+            raise DimensionError("Adam moments must be C-contiguous and shaped "
+                                 "like the parameters")
+    state.t += 1
+    c1 = 1.0 - hyper.beta1 ** state.t
+    c2 = 1.0 - hyper.beta2 ** state.t
+    s1, s2 = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
+
+    def update(param, grad, m, v):
+        new = np.empty(param.shape)
+        flat = [x.reshape(-1) for x in (param, grad, m, v, new)]
+        for lo in range(0, param.size, ADAM_SLICE):
+            p, g, m, v, out = (x[lo : lo + ADAM_SLICE] for x in flat)
+            a, b = s1[: g.size], s2[: g.size]
+            m *= hyper.beta1
+            m += np.multiply(g, 1.0 - hyper.beta1, out=a)
+            v *= hyper.beta2
+            np.multiply(g, 1.0 - hyper.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, c1, out=a)
+            a *= hyper.lr
+            np.sqrt(np.divide(v, c2, out=b), out=b)
+            b += hyper.eps
+            np.subtract(p, np.divide(a, b, out=a), out=out)
+        return new
+
+    new_params = [None if p is None else
+                  LayerParams(update(p.w, g.w, m.w, v.w), update(p.b, g.b, m.b, v.b))
+                  for p, g, m, v in zip(params, grads, state.m, state.v)]
+    return new_params, state
 
 
 def early_stop_check(trace: Sequence[float], patience: int, min_delta: float,

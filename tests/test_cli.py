@@ -238,6 +238,18 @@ class TestTrainSweep:
                         "--out-dir", out, "--latent", "4", "--lambda", "0.01"])
         self._assert_config_error_before_run(code, capsys, out)
 
+    def test_hash_in_data_dir_rejected_before_loading(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # config_used.txt could not be read back: '#' starts a comment there.
+        def no_loading(config):
+            raise AssertionError("data loaded for an invalid config")
+
+        monkeypatch.setattr(cli, "_load_splits", no_loading)
+        out = tmp_path / "o"
+        code = run_cli(["train-ae", "--data-dir", "h#dir", "--out-dir", out,
+                        "--latent", "4", "--max-epochs", "1"])
+        self._assert_config_error_before_run(code, capsys, out)
+
     @pytest.mark.parametrize("command", ["train-ae", "train-cnn"])
     def test_every_train_flag_is_a_config_key(self, command):
         # A flag whose dest is not a config key would bypass the parsers.
@@ -473,6 +485,17 @@ class TestCompare:
         assert run_cli(["compare", csv, "--out-dir", tmp_path]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error[format]")
+        assert captured.err.count("\n") == 1
+        assert "row 4" in captured.err
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_non_finite_cell_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "runs.csv"
+        csv.write_text("lambda,final_val_metric\n0,0.5\n0,0.6\n0,0.55\n"
+                       "1,nan\n1,0.9\n1,0.95\n")
+        assert run_cli(["compare", csv, "--out-dir", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[non-finite]")
         assert captured.err.count("\n") == 1
         assert "row 4" in captured.err
         assert not (tmp_path / "grid.csv").exists()

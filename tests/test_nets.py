@@ -181,6 +181,46 @@ class TestBackward:
         np.testing.assert_allclose(g1[0].w, g0[0].w + extra, atol=1e-15)
         np.testing.assert_array_equal(g1[0].b, g0[0].b)
 
+    @pytest.mark.parametrize("net", ["ae", "cnn"])
+    def test_skipped_input_gradient_leaves_weight_gradients_bitwise(self, net):
+        # Reference: every layer computes its input gradient, and entropy
+        # gradients are added out of place, as before layer 0 skipped it.
+        rng = np.random.default_rng(31)
+        if net == "ae":
+            spec = NetworkSpec((Dense(784, 180), Activation("sigmoid"), Dense(180, 784)))
+            x = rng.uniform(size=(128, 784))
+        else:
+            spec = NetworkSpec((Conv2D(8, 3, 3, 3), Activation("leaky_relu"), MaxPool2(),
+                                Dense(8 * 7 * 7, 10), Activation("softmax")))
+            x = rng.uniform(size=(16, 3, 16, 16))
+        weights = init_weights(spec, rng)
+        cache, out = forward(spec, weights, x)
+        g = rng.normal(size=out.shape) / out.size
+        extra = {i: rng.normal(size=weights[i].w.shape) for i, p in enumerate(weights)
+                 if p is not None}
+        ref = [None] * len(spec.layers)
+        g_in = g
+        for idx in range(len(spec.layers) - 1, -1, -1):
+            g_in, ref[idx] = spec.layers[idx].backward(g_in, weights[idx], cache[idx])
+        assert g_in.shape == x.shape
+        for idx, e in extra.items():
+            ref[idx] = LayerParams(ref[idx].w + e, ref[idx].b)
+        grads = backward(spec, weights, cache, g, extra)
+        for got, want in zip(grads, ref):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.w.tobytes() == want.w.tobytes()
+                assert got.b.tobytes() == want.b.tobytes()
+
+    def test_dense_returns_no_input_gradient_when_not_needed(self):
+        rng = np.random.default_rng(32)
+        spec = NetworkSpec((Dense(5, 3),))
+        weights = init_weights(spec, rng)
+        cache, out = forward(spec, weights, rng.normal(size=(4, 5)))
+        g_in, grad = spec.layers[0].backward(np.ones_like(out), weights[0], cache[0],
+                                             need_input_grad=False)
+        assert g_in is None and grad.w.shape == (3, 5)
+
     def test_cache_mismatch_raises(self):
         spec = NetworkSpec((Dense(3, 3),))
         weights = init_weights(spec, np.random.default_rng(8))
@@ -251,3 +291,16 @@ class TestHeads:
     def test_sigmoid_extremes_are_stable(self):
         out = sigmoid(np.array([-800.0, 0.0, 800.0]))
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
+
+    def test_sigmoid_bitwise_equal_to_masked_form(self):
+        def masked(z):  # the form sigmoid replaced, kept as the oracle
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0])
+        z = np.concatenate([special, np.random.default_rng(33).normal(scale=20, size=5000)])
+        assert sigmoid(z).tobytes() == masked(z).tobytes()

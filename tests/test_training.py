@@ -99,6 +99,87 @@ class TestAdamStep:
             adam_step(self.params, grads, self.state, self.hyper)
 
 
+def reference_adam_step(params, grads, state, hyper):
+    """The purely functional update that adam_step replaced, kept as the oracle."""
+    t = state.t + 1
+    c1 = 1.0 - hyper.beta1 ** t
+    c2 = 1.0 - hyper.beta2 ** t
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if p is None:
+            new_params.append(None)
+            new_m.append(None)
+            new_v.append(None)
+            continue
+        mw = hyper.beta1 * m.w + (1.0 - hyper.beta1) * g.w
+        mb = hyper.beta1 * m.b + (1.0 - hyper.beta1) * g.b
+        vw = hyper.beta2 * v.w + (1.0 - hyper.beta2) * g.w * g.w
+        vb = hyper.beta2 * v.b + (1.0 - hyper.beta2) * g.b * g.b
+        new_w = p.w - hyper.lr * (mw / c1) / (np.sqrt(vw / c2) + hyper.eps)
+        new_b = p.b - hyper.lr * (mb / c1) / (np.sqrt(vb / c2) + hyper.eps)
+        new_params.append(LayerParams(new_w, new_b))
+        new_m.append(LayerParams(mw, mb))
+        new_v.append(LayerParams(vw, vb))
+    return new_params, AdamState(new_m, new_v, t)
+
+
+def _bits(layers):
+    return [None if p is None else (p.w.tobytes(), p.b.tobytes()) for p in layers]
+
+
+class TestAdamInPlace:
+    """The sliced in-place update against the functional reference."""
+
+    # Around one slice (ADAM_SLICE = 32768 elements), and the AE's first layer.
+    @pytest.mark.parametrize("shape", [(1,), (32767,), (32768,), (32769,), (180, 784)],
+                             ids=["1", "32767", "32768", "32769", "180x784"])
+    def test_bitwise_equal_to_functional_reference(self, shape):
+        rng = np.random.default_rng(21)
+        params = [LayerParams(rng.normal(size=shape), rng.normal(size=shape[:1])), None]
+        hyper = AdamHyper(lr=3e-3)
+        state = AdamState.zeros_like(params)
+        ref_params, ref_state = params, AdamState.zeros_like(params)
+        for _ in range(5):
+            grads = [LayerParams(rng.normal(size=shape) * rng.uniform(0, 2, size=shape),
+                                 rng.normal(size=shape[:1])), None]
+            params, state = adam_step(params, grads, state, hyper)
+            ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, hyper)
+            assert _bits(params) == _bits(ref_params)
+            assert _bits(state.m) == _bits(ref_state.m)
+            assert _bits(state.v) == _bits(ref_state.v)
+            assert state.t == ref_state.t
+
+    def test_reads_params_and_grads_and_returns_the_given_state(self):
+        rng = np.random.default_rng(22)
+        params = [LayerParams(rng.normal(size=(3, 40000)), rng.normal(size=3)), None]
+        grads = [LayerParams(rng.normal(size=(3, 40000)), rng.normal(size=3)), None]
+        before = _bits(params), _bits(grads)
+        state = AdamState.zeros_like(params)
+        new_params, new_state = adam_step(params, grads, state, AdamHyper())
+        assert (_bits(params), _bits(grads)) == before
+        assert new_state is state and state.t == 1
+        assert not np.shares_memory(new_params[0].w, params[0].w)
+        assert np.any(state.m[0].w != 0.0)
+
+    def test_shape_mismatch_in_a_later_layer_changes_no_moment(self):
+        from entroprop.errors import DimensionError
+
+        rng = np.random.default_rng(23)
+        params = [LayerParams(rng.normal(size=(4, 5)), rng.normal(size=4)), None,
+                  LayerParams(rng.normal(size=(2, 4)), rng.normal(size=2))]
+        state = AdamState.zeros_like(params)
+        ok = [None if p is None else LayerParams(rng.normal(size=p.w.shape),
+                                                  rng.normal(size=p.b.shape))
+              for p in params]
+        params, state = adam_step(params, ok, state, AdamHyper())
+        moments = _bits(state.m), _bits(state.v)
+        bad = [ok[0], None, LayerParams(np.zeros((4, 2)), np.zeros(2))]
+        with pytest.raises(DimensionError):
+            adam_step(params, bad, state, AdamHyper())
+        assert (_bits(state.m), _bits(state.v)) == moments
+        assert state.t == 1
+
+
 class TestEarlyStopCheck:
     def test_strictly_improving_continues(self):
         trace = [0.5, 0.4, 0.3, 0.2, 0.1]
